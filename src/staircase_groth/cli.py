@@ -8,8 +8,8 @@ order, partitions listed in graded lex order, coefficients carried as
 decimal strings).
 
 Exit codes: 0 on success (for ``verify``/``scan``: every gated case
-holds), 1 when a verification suite fails (the report is still
-emitted), 2 on usage errors.
+holds, and there is at least one case), 1 when a verification suite
+fails (the report is still emitted), 2 on usage errors.
 
 The environment variable STAIRCASE_GROTH_THREADS caps case-level
 parallelism in the verification suites.
@@ -208,39 +208,43 @@ def _render_report(report, fmt: str, out) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_verify(args, out) -> int:
+def _run_suite(args) -> vf.Report:
     suite = args.suite
+
+    def n_or(default: int) -> int:
+        return default if args.n is None else args.n
+
     if suite == "stembridge-g":
-        report = vf.verify_stembridge_g(args.n if args.n else 4)
-    elif suite == "stembridge-G":
-        report = vf.verify_stembridge_G(args.n if args.n else 3,
-                                        args.extra_degrees)
-    elif suite == "lattice-rules":
-        report = vf.verify_lattice_rules(args.n if args.n else 4)
-    elif suite == "alpha-recurrence":
-        n = args.n if args.n else 4
+        return vf.verify_stembridge_g(n_or(4))
+    if suite == "stembridge-G":
+        return vf.verify_stembridge_G(n_or(3), args.extra_degrees)
+    if suite == "lattice-rules":
+        return vf.verify_lattice_rules(n_or(4))
+    if suite == "alpha-recurrence":
         if args.k is None:
             raise UsageError("--k: required for suite alpha-recurrence")
-        report = vf.verify_alpha_recurrence(n, args.k,
-                                            refined=not args.literal_only)
-    elif suite == "basis":
-        report = vf.verify_basis_identities(
+        return vf.verify_alpha_recurrence(n_or(4), args.k,
+                                          refined=not args.literal_only)
+    if suite == "basis":
+        return vf.verify_basis_identities(
             args.k_max, args.deg if args.deg is not None else 7)
-    elif suite == "hopf":
-        n = args.n if args.n else 3
+    if suite == "hopf":
         include = vf.HOPF_PIECES
         if args.include:
             include = tuple(x.strip() for x in args.include.split(",") if x.strip())
-        try:
-            report = vf.verify_hopf(n, args.deg, include)
-        except ValueError as e:
-            raise UsageError(f"--include/--deg: {e}") from None
-    elif suite == "converse":
-        report = vf.converse_scan(args.max_size)
-    elif suite == "multiply-oracle":
-        report = vf.verify_multiply_oracle(args.pairs, args.deg or 6, args.seed)
-    else:
-        raise UsageError(f"--suite: unknown suite {suite!r}")
+        return vf.verify_hopf(n_or(3), args.deg, include)
+    if suite == "converse":
+        return vf.converse_scan(args.max_size)
+    if suite == "multiply-oracle":
+        return vf.verify_multiply_oracle(args.pairs, args.deg or 6, args.seed)
+    raise UsageError(f"--suite: unknown suite {suite!r}")
+
+
+def _cmd_verify(args, out) -> int:
+    try:
+        report = _run_suite(args)
+    except vf.ParameterError as e:
+        raise UsageError(f"--suite {args.suite}: {e}") from None
     return _render_report(report, args.format, out)
 
 

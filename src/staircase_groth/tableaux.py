@@ -15,29 +15,30 @@ rpp counts columns containing each value, an svt counts cells whose set
 contains each value.
 
 ``enumerate_fillings`` streams every filling in a documented
-deterministic order.  ``count_fillings``/``content_counts`` count
-fillings with an exact content vector; for ssyt and rpp this uses a
-chain decomposition (the region holding values <= i grows through a
-nested sequence of partitions), which must agree with filtering the
-naive stream and is tested to.  All counters memoize per process;
-caches are only ever extended with idempotent values, so concurrent
-readers are safe.
+deterministic order.  ``count_fillings``, ``content_counts`` and
+``signed_svt_counts`` count fillings with an exact content vector, for
+all three families, by one chain decomposition (the region holding
+values <= i grows through a nested sequence of partitions), which must
+agree with filtering the naive stream and is tested to.  The chain
+transitions are cached per outer shape and per process, row by row as
+they are first used; a count's own DP state lives only as long as that
+count or sweep.  Caches are only ever extended with finished, idempotent
+values, so concurrent readers are safe.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from math import comb
 from typing import Iterator
 
 from .shapes import (
     EMPTY,
     Partition,
     SkewShape,
-    contains,
-    graded_lex_key,
+    contains,  # noqa: F401  (perfbench's tracing test looks it up here)
     partition,
-    partitions_of,
 )
 
 SSYT = "ssyt"
@@ -269,199 +270,163 @@ def enumerate_fillings(shape: SkewShape, kind: str, max_entry: int,
 # strip and contributes its cell count.
 #
 # For an svt, the cells whose set contains value i form a horizontal strip
-# over the finished region (a cell holding i needs everything above it
-# finished).  Within each row of that strip every cell except possibly the
-# rightmost is exactly {i}; the rightmost may stay open and collect larger
-# values, which requires the cell below it to lie outside the strip's outer
-# shape.  Each open cell contributes a factor of -1, and the total number of
-# open events over a filling is |T| - |shape|, so the signed transition
-# tables below produce the signed content coefficients directly.
+# sigma over the finished region a (a cell holding i needs everything above
+# it finished).  Within each row of that strip every cell except possibly
+# the rightmost is exactly {i}; the rightmost may stay open and collect
+# larger values.  The cell below a row end of a horizontal strip lies
+# outside sigma, so each nonempty row may stay open on its own.  Grouped by
+# the next finished region tau, the strips with k open rows are the
+# k-subsets of the rows where tau stops short of its bound, and each adds
+# |tau/a| + k to the content.  Each open cell contributes a factor of -1,
+# and the total number of open events over a filling is |T| - |shape|, so
+# the signed tables produce the signed content coefficients directly.
 
 
-def _between(inner: Partition, outer: Partition) -> tuple[Partition, ...]:
-    rows = len(outer)
-    acc: list[Partition] = []
+def _walk(a: Word, outer: Partition, strip: bool,
+          base: int) -> list[tuple[int, int, int, int]]:
+    """Every sigma with a <= sigma <= outer, as (code, last part, weight,
+    free rows), where the code is the sum of sigma[r] * base**r.
 
-    def rec(i: int, prev: int, cur: tuple[int, ...]) -> None:
-        if i == rows:
-            p = cur
-            while p and p[-1] == 0:
-                p = p[:-1]
-            acc.append(p)
-            return
-        lo = inner[i] if i < len(inner) else 0
-        for v in range(lo, min(outer[i], prev) + 1):
-            rec(i + 1, v, cur + (v,))
-
-    rec(0, outer[0] if outer else 0, ())
-    acc.sort(key=graded_lex_key)
-    return tuple(acc)
-
-
-def _skew_columns(inner: Partition, outer: Partition) -> int:
-    cols: set[int] = set()
-    for r, o in enumerate(outer):
-        lo = inner[r] if r < len(inner) else 0
-        cols.update(range(lo + 1, o + 1))
-    return len(cols)
-
-
-def _is_hstrip(inner: Partition, outer: Partition) -> bool:
-    for r in range(len(outer) - 1):
-        lo = inner[r] if r < len(inner) else 0
-        if outer[r + 1] > lo:
-            return False
-    return True
+    With ``strip`` only horizontal strips sigma/a are walked.  The weight
+    is the number of columns sigma/a meets, which for a strip is its cell
+    count; the free rows are those where sigma stops short of its bound.
+    """
+    layer = [(0, outer[0] if outer else 0, 0, 0)]
+    scale = 1
+    for r, top in enumerate(outer):
+        lo = a[r]
+        # row r reaches new columns only up to a[r - 1]; further right,
+        # row r - 1 of sigma/a already meets them
+        above = a[r - 1] if r else top
+        grown = []
+        for code, prev, w, free in layer:
+            hi = min(top, above if strip else prev)
+            grown.extend((code + v * scale, v,
+                          w + (v if v < above else above) - lo, free + (v < hi))
+                         for v in range(lo, hi + 1))
+        layer = grown
+        scale *= base
+    return layer
 
 
 _SIGNED_SVT = "signed_svt"
+_UNIT = (SSYT, RPP)  # kinds whose transitions all have multiplier 1
 
 
 class _ChainTables:
-    """Per-shape chain transition tables with memoized suffix counts.
+    """Chain transitions of every skew shape with one outer shape.
 
-    Transitions are stored per start state as weight -> ((end state,
-    multiplier), ...); ssyt and rpp multipliers are 1, the svt tables
-    carry the sign of the open-cell events.
+    A state is a partition sigma inside ``outer``, coded as the sum of
+    sigma[r] * base**r; the chains of outer/inner run from the code of
+    inner to the code of outer.  What leaves a state does not depend on
+    the inner shape, so all shapes with this outer share one table.
+    ``rows[kind][i]`` maps a weight to the transitions out of state i:
+    end states for ssyt and rpp, (end state, multiplier) pairs for svt,
+    where the signed kind carries the sign of the open-cell events.  A row
+    is built on first use and never changes afterwards, so concurrent
+    readers see no row or a finished one; the DP state of a count lives
+    in that count.
     """
 
-    def __init__(self, outer: Partition, inner: Partition):
-        states = _between(inner, outer)
-        index = {p: i for i, p in enumerate(states)}
-        n = len(states)
-        Row = dict[int, dict[int, int]]
-        strip_t: list[Row] = [dict() for _ in range(n)]
-        cols_t: list[Row] = [dict() for _ in range(n)]
-        svt_t: list[Row] = [dict() for _ in range(n)]
+    def __init__(self, outer: Partition):
+        self.outer = outer
+        self.base = outer[0] + 1 if outer else 1
+        self.top = self.code(outer)
+        self.rows: dict[str, dict[int, dict[int, list]]] = {
+            kind: {} for kind in (*KINDS, _SIGNED_SVT)}
+        self.size: dict[int, int] = {}  # cells of the states svt rows reach
 
-        def bump(table: Row, w: int, j: int, c: int) -> None:
-            table.setdefault(w, {})
-            table[w][j] = table[w].get(j, 0) + c
+    def code(self, p: Partition) -> int:
+        return sum(x * self.base ** r for r, x in enumerate(p))
 
-        for i, a in enumerate(states):
-            for sigma in states:
-                if sigma == a or not contains(sigma, a):
-                    continue
-                j = index[sigma]
-                w = _skew_columns(a, sigma)
-                bump(cols_t[i], w, j, 1)
-                if not _is_hstrip(a, sigma):
-                    continue
-                size = sum(sigma) - sum(a)
-                bump(strip_t[i], size, j, 1)
-                # svt: any subset of the strip's row-end cells may stay
-                # open, provided the cell below the row end is absent
-                open_rows = [
-                    r for r in range(len(sigma))
-                    if sigma[r] > (a[r] if r < len(a) else 0)
-                    and sigma[r] > (sigma[r + 1] if r + 1 < len(sigma) else 0)
-                ]
-                for mask in range(1 << len(open_rows)):
-                    tau = list(sigma)
-                    bits = 0
-                    m = mask
-                    for k, r in enumerate(open_rows):
-                        if m >> k & 1:
-                            tau[r] -= 1
-                            bits += 1
-                    while tau and tau[-1] == 0:
-                        tau.pop()
-                    bump(svt_t[i], size, index[tuple(tau)],
-                         -1 if bits % 2 else 1)
-        self.n = n
-        self.bottom = index[inner]
-        self.top = index[outer]
-        self.succ = {
-            SSYT: [{w: tuple(d.items()) for w, d in row.items()} for row in strip_t],
-            RPP: [{w: tuple(d.items()) for w, d in row.items()} for row in cols_t],
-            _SIGNED_SVT: [{w: tuple((j, c) for j, c in d.items() if c)
-                           for w, d in row.items()} for row in svt_t],
-        }
-        self._memo: dict[str, dict[Word, list[int]]] = {
-            SSYT: {}, RPP: {}, _SIGNED_SVT: {}}
+    def _row(self, kind: str, i: int) -> dict[int, list]:
+        base = self.base
+        a = tuple(i // base ** r % base for r in range(len(self.outer)))
+        cells = sum(a)
+        out: dict[int, list] = {}
+        sign = -1 if kind == _SIGNED_SVT else 1
+        for j, _, w, free in _walk(a, self.outer, kind != RPP, base):
+            if kind in _UNIT:
+                if w:
+                    out.setdefault(w, []).append(j)
+                continue
+            self.size[j] = cells + w
+            for k in range(not w, free + 1):
+                out.setdefault(w + k, []).append((j, comb(free, k) * sign ** k))
+        self.rows[kind][i] = out
+        return out
 
-    def _table(self, kind: str, suffix: Word) -> list[int]:
-        memo = self._memo[kind]
-        hit = memo.get(suffix)
-        if hit is not None:
-            return hit
-        if not suffix:
-            res = [0] * self.n
-            res[self.top] = 1
-        else:
-            rest = self._table(kind, suffix[1:])
-            succ = self.succ[kind]
-            w = suffix[0]
-            res = [sum(c * rest[j] for j, c in succ[i].get(w, ()))
-                   for i in range(self.n)]
-        memo[suffix] = res
-        return res
+    def _step(self, kind: str, fwd: dict[int, int], v: int) -> dict[int, int]:
+        """Weighted states one part v beyond the states of ``fwd``."""
+        rows = self.rows[kind]
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for i, n in fwd.items():
+            row = rows.get(i)
+            if row is None:
+                row = self._row(kind, i)
+            if kind in _UNIT:
+                for j in row.get(v, ()):
+                    nxt[j] = get(j, 0) + n
+            else:
+                for j, c in row.get(v, ()):
+                    nxt[j] = get(j, 0) + n * c
+        return nxt
 
-    def count(self, kind: str, content: Partition) -> int:
-        return self._table(kind, content)[self.bottom]
+    def count(self, kind: str, inner: Partition, content: Partition) -> int:
+        fwd = {self.code(inner): 1}
+        for v in content:
+            fwd = self._step(kind, fwd, v)
+        return fwd.get(self.top, 0)
+
+    def sweep(self, kind: str, inner: Partition, max_length: int,
+              budget: int) -> dict[Partition, int]:
+        """Nonzero counts of every content with at most ``max_length``
+        parts summing to at most ``budget``, in graded lex order.
+
+        Walks the contents as a prefix tree, so each prefix is one DP step
+        and a prefix no state survives ends its subtree.  The top state
+        has no transitions, so its count is taken out as it is reached.
+        An svt content needs at least one more value per unfinished cell,
+        so states with more unfinished cells than the rest of the budget
+        are dropped.
+        """
+        top = self.top
+        cells = sum(self.outer)
+        size = self.size
+        prune = kind not in _UNIT
+        out: dict[Partition, int] = {}
+
+        def grow(prefix: Partition, fwd: dict[int, int], cap: int) -> None:
+            room = budget - sum(prefix)
+            for v in range(min(cap, room), 0, -1):
+                t = prefix + (v,)
+                nxt = self._step(kind, fwd, v)
+                c = nxt.pop(top, 0)
+                if c:
+                    out[t] = c
+                rest = min(room - v, v * (max_length - len(t)))
+                if prune:
+                    floor = cells - rest
+                    nxt = {j: c for j, c in nxt.items()
+                           if c and size[j] >= floor}
+                if nxt and rest:
+                    grow(t, nxt, v)
+
+        grow(EMPTY, {self.code(inner): 1}, budget)
+        # the walk meets the contents of each size in descending lex order,
+        # so a stable sort by size gives graded lex order
+        return {t: out[t] for t in sorted(out, key=sum)}
 
 
-_chain_cache: dict[tuple[Partition, Partition], _ChainTables] = {}
+_chain_cache: dict[Partition, _ChainTables] = {}
 
 
-def _chain(shape: SkewShape) -> _ChainTables:
-    key = (shape.outer, shape.inner)
-    tables = _chain_cache.get(key)
+def _chain(outer: Partition) -> _ChainTables:
+    tables = _chain_cache.get(outer)
     if tables is None:
-        tables = _chain_cache[key] = _ChainTables(*key)
+        tables = _chain_cache[outer] = _ChainTables(outer)
     return tables
-
-
-# ---------------------------------------------------------------------------
-# exact-content counting for svt
-
-
-@functools.cache
-def _svt_count(outer: Partition, inner: Partition, content: Partition) -> int:
-    shape = SkewShape(outer, inner)
-    cells = shape.cells()
-    ncells = len(cells)
-    total = sum(content)
-    if ncells == 0:
-        return 1 if not content else 0
-    if total < ncells:
-        return 0
-    pos = {cell: i for i, cell in enumerate(cells)}
-    left = [pos.get((r, c - 1), -1) for r, c in cells]
-    above = [pos.get((r - 1, c), -1) for r, c in cells]
-    L = len(content)
-    budgets = list(content)
-    maxes = [0] * ncells
-
-    def rec(idx: int, remaining: int) -> int:
-        if idx == ncells:
-            return 1 if remaining == 0 else 0
-        slack = remaining - (ncells - idx)
-        if slack < 0:
-            return 0
-        lo = 1
-        if left[idx] >= 0:
-            lo = max(lo, maxes[left[idx]])
-        if above[idx] >= 0:
-            lo = max(lo, maxes[above[idx]] + 1)
-        found = 0
-
-        def choose(vmin: int, rem: int, extras: int) -> None:
-            nonlocal found
-            for v in range(vmin, L + 1):
-                if budgets[v - 1] == 0:
-                    continue
-                budgets[v - 1] -= 1
-                maxes[idx] = v
-                found += rec(idx + 1, rem - 1)
-                if extras > 0:
-                    choose(v + 1, rem - 1, extras - 1)
-                budgets[v - 1] += 1
-
-        choose(lo, remaining, slack)
-        return found
-
-    return rec(0, total)
 
 
 def count_fillings(shape: SkewShape, kind: str, content: Partition,
@@ -473,20 +438,9 @@ def count_fillings(shape: SkewShape, kind: str, content: Partition,
     """
     _check_kind(kind)
     content = partition(content)
-    n = shape.size()
     if max_total_size is not None and sum(content) > max_total_size:
         return 0
-    if kind == SSYT:
-        if sum(content) != n:
-            return 0
-        return _chain(shape).count(SSYT, content)
-    if kind == RPP:
-        if sum(content) > n:
-            return 0
-        return _chain(shape).count(RPP, content)
-    if sum(content) < n:
-        return 0
-    return _svt_count(shape.outer, shape.inner, content)
+    return _chain(shape.outer).count(kind, shape.inner, content)
 
 
 def content_counts(shape: SkewShape, kind: str, *, num_vars: int,
@@ -501,23 +455,12 @@ def content_counts(shape: SkewShape, kind: str, *, num_vars: int,
     n = shape.size()
     if n == 0:
         return {EMPTY: 1}
-    ncols = shape.ncols()
-    if kind == SSYT:
-        sizes = range(n, n + 1)
-    elif kind == RPP:
-        sizes = range(1, n + 1)
-    else:
-        top = len(shape.cells()) * num_vars
+    budget = n
+    if kind == SVT:
+        budget = n * num_vars
         if max_total_size is not None:
-            top = min(top, max_total_size)
-        sizes = range(n, top + 1)
-    out: dict[Partition, int] = {}
-    for s in sizes:
-        for t in partitions_of(s, max_part=ncols, max_length=num_vars):
-            c = count_fillings(shape, kind, t)
-            if c:
-                out[t] = c
-    return out
+            budget = min(budget, max_total_size)
+    return _chain(shape.outer).sweep(kind, shape.inner, num_vars, budget)
 
 
 def signed_svt_counts(shape: SkewShape, *, num_vars: int,
@@ -528,18 +471,10 @@ def signed_svt_counts(shape: SkewShape, *, num_vars: int,
     Computed by the signed chain tables; must agree with (and is tested
     against) signing the plain counts from the naive stream.
     """
-    n = shape.size()
-    if n == 0:
+    if shape.size() == 0:
         return {EMPTY: 1}
-    tables = _chain(shape)
-    ncols = shape.ncols()
-    out: dict[Partition, int] = {}
-    for s in range(n, max_total_size + 1):
-        for t in partitions_of(s, max_part=ncols, max_length=num_vars):
-            c = tables.count(_SIGNED_SVT, t)
-            if c:
-                out[t] = c
-    return out
+    return _chain(shape.outer).sweep(_SIGNED_SVT, shape.inner, num_vars,
+                                     max_total_size)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ Reports are deterministic for fixed parameters: cases are generated in
 canonical input order (subpartitions and contents in graded lex order,
 bounds ascending), never in completion order.  Case evaluation may be
 parallelized by setting STAIRCASE_GROTH_THREADS; assembly stays ordered.
-Suites consume only the public operations of the other modules.
+Suites consume only the public operations of the other modules.  A
+suite given a parameter outside the range it supports raises
+ParameterError before it runs any case.
 """
 
 from __future__ import annotations
@@ -43,6 +45,11 @@ from .shapes import (
 from .symfunc import BasisExpansion, SymFunc, TruncationProfile
 
 DEFAULT_SEED = 1729
+
+
+class ParameterError(ValueError):
+    """A suite parameter outside the range the suite supports."""
+
 
 _MAX_SUITE_N = 6  # hard cap on staircase index for any suite
 
@@ -76,7 +83,8 @@ class Report:
 
     @property
     def passed(self) -> bool:
-        return all(c.holds for c in self.cases)
+        """Every case holds, and there is at least one case."""
+        return bool(self.cases) and all(c.holds for c in self.cases)
 
     def to_dict(self) -> dict:
         return {
@@ -133,7 +141,8 @@ def _map_witness(lhs: dict, rhs: dict) -> dict | None:
 
 def _check_n(n: int) -> None:
     if not 1 <= n <= _MAX_SUITE_N:
-        raise ValueError(f"staircase index must be in 1..{_MAX_SUITE_N}, got {n}")
+        raise ParameterError(
+            f"staircase index must be in 1..{_MAX_SUITE_N}, got {n}")
 
 
 def _sorted_partitions(max_size: int, min_size: int = 0):
@@ -170,7 +179,7 @@ def verify_stembridge_G(n: int, extra_degrees: int = 3) -> Report:
     """G(rho_n/mu) == G(rho_n/mu'), truncated |shape| + extra degrees up."""
     _check_n(n)
     if extra_degrees < 0:
-        raise ValueError("extra_degrees must be nonnegative")
+        raise ParameterError("extra_degrees must be nonnegative")
     rho = staircase(n)
     specs = []
     for mu in subpartitions(rho):
@@ -295,7 +304,7 @@ def verify_alpha_recurrence(n: int, k: int, refined: bool = True) -> Report:
     """
     _check_n(n)
     if not 1 <= k < n:
-        raise ValueError("need 1 <= k < n")
+        raise ParameterError("need 1 <= k < n")
     rho = staircase(n)
     cells = sum(rho) - k
     specs = []
@@ -385,9 +394,9 @@ def verify_basis_identities(k_max: int, max_degree: int) -> Report:
     """Column G's against alternating elementary sums, the binomial G
     expansion of e_k, the single-row g's against h_k, and Pieri sums."""
     if k_max < 1:
-        raise ValueError("k_max must be positive")
+        raise ParameterError("k_max must be positive")
     if max_degree < k_max:
-        raise ValueError("need max_degree >= k_max")
+        raise ParameterError("need max_degree >= k_max")
     trunc = TruncationProfile.for_degree(max_degree)
     specs = []
     for k in range(1, k_max + 1):
@@ -469,10 +478,10 @@ def verify_hopf(n: int, max_degree: int | None = None,
     if max_degree is None:
         max_degree = sum(rho) + 2
     if max_degree < sum(rho):
-        raise ValueError("max_degree below |rho_n|")
+        raise ParameterError("max_degree below |rho_n|")
     unknown = set(include) - set(HOPF_PIECES)
     if unknown:
-        raise ValueError(f"unknown hopf pieces: {sorted(unknown)}")
+        raise ParameterError(f"unknown hopf pieces: {sorted(unknown)}")
     trunc = TruncationProfile.for_degree(max_degree)
     specs = []
 
@@ -642,7 +651,7 @@ def converse_scan(max_size: int) -> Report:
     vertical-strip complement set.
     """
     if max_size < 1:
-        raise ValueError("max_size must be positive")
+        raise ParameterError("max_size must be positive")
     staircases = set()
     m = 0
     while sum(staircase(m)) <= max_size:
@@ -702,7 +711,9 @@ def verify_multiply_oracle(pairs: int = 100, max_degree: int = 6,
                            seed: int = DEFAULT_SEED) -> Report:
     """Monomial-basis products against brute-force polynomial expansion."""
     if not 1 <= max_degree <= 6:
-        raise ValueError("max_degree must be in 1..6")
+        raise ParameterError("max_degree must be in 1..6")
+    if pairs < 1:
+        raise ParameterError("pairs must be at least 1")
     rng = random.Random(seed)
     trunc = TruncationProfile.for_degree(max_degree)
     nvars = trunc.num_vars

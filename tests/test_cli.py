@@ -97,6 +97,18 @@ def test_usage_errors_exit_2():
             ("coeff", "--family", "alpha", "--shape", "2,1/1"),
             ("verify", "--suite", "alpha-recurrence"),
             ("verify", "--suite", "no-such-suite"),
+            ("verify", "--suite", "stembridge-g", "--n", "9"),
+            ("verify", "--suite", "stembridge-G", "--n", "0"),
+            ("verify", "--suite", "lattice-rules", "--n", "-1"),
+            ("verify", "--suite", "multiply-oracle", "--pairs", "0"),
+            ("verify", "--suite", "multiply-oracle", "--pairs", "-3"),
+            ("verify", "--suite", "multiply-oracle", "--deg", "9"),
+            ("verify", "--suite", "alpha-recurrence", "--n", "3", "--k", "5"),
+            ("verify", "--suite", "stembridge-G", "--n", "2",
+             "--extra-degrees", "-1"),
+            ("verify", "--suite", "basis", "--k-max", "0"),
+            ("verify", "--suite", "converse", "--max-size", "0"),
+            ("verify", "--suite", "hopf", "--n", "2", "--deg", "1"),
             ("frobnicate",),
     ):
         code, _ = cli(*argv)
@@ -161,3 +173,20 @@ def test_multiply_oracle_suite_cli():
     code, out = cli("verify", "--suite", "multiply-oracle", "--pairs", "5",
                     "--deg", "4", "--seed", "7")
     assert code == 0
+
+
+def test_verify_usage_errors_print_no_traceback(capsys):
+    code, out = cli("verify", "--suite", "stembridge-g", "--n", "9")
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err == ("error: --suite stembridge-g: staircase index must be "
+                   "in 1..6, got 9\n")
+
+
+def test_empty_report_does_not_pass(monkeypatch):
+    monkeypatch.setattr(vf, "verify_stembridge_g",
+                        lambda n: vf.Report("stembridge-g", []))
+    code, out = cli("verify", "--suite", "stembridge-g", "--n", "2")
+    assert code == 1
+    assert "passed: false" in out and "cases: 0" in out
+    assert not vf.Report("demo", []).passed

@@ -8,6 +8,7 @@ from staircase_groth import tableaux as tb
 from staircase_groth.shapes import (
     EMPTY,
     SkewShape,
+    graded_lex_key,
     partitions_of,
     staircase,
     star_join,
@@ -222,18 +223,77 @@ def test_svt_content_counts_match_stream():
         assert got == expected
 
 
+def signed_content_counter(shape, max_entry, cap):
+    signed = Counter()
+    for t in tb.enumerate_fillings(shape, SVT, max_entry, max_total_size=cap):
+        c = tb.content_of(t, SVT)
+        if all(c[i] >= c[i + 1] for i in range(len(c) - 1)):
+            signed[c] += -1 if (t.total_size() - shape.size()) % 2 else 1
+    return {k: v for k, v in signed.items() if v}
+
+
 def test_signed_svt_counts_match_stream():
     for shape in (SkewShape((2, 1), EMPTY), SkewShape((2, 2), (1,)),
                   SkewShape((3, 2), EMPTY), SkewShape((2, 2, 1), (1,))):
         cap = shape.size() + 3
-        signed = Counter()
-        for t in tb.enumerate_fillings(shape, SVT, cap, max_total_size=cap):
-            c = tb.content_of(t, SVT)
-            if all(c[i] >= c[i + 1] for i in range(len(c) - 1)):
-                signed[c] += -1 if (t.total_size() - shape.size()) % 2 else 1
-        expected = {k: v for k, v in signed.items() if v}
+        expected = signed_content_counter(shape, cap, cap)
         got = tb.signed_svt_counts(shape, num_vars=cap, max_total_size=cap)
         assert got == expected
+
+
+# skew shapes inside partitions of at most 7 cells, largest first: most
+# of them are small, and hypothesis favours the first entries
+SMALL_SHAPES = sorted({SkewShape(lam, mu) for d in range(8)
+                       for lam in partitions_of(d) for mu in subpartitions(lam)},
+                      key=lambda s: (-s.size(), s.outer, s.inner))
+
+
+def stream_counts(shape, m):
+    """Oracle for the four sweeps: the filtered filling stream."""
+    cap = shape.size() + 2
+    return (partition_content_counter(shape, SSYT, m),
+            partition_content_counter(shape, RPP, m),
+            partition_content_counter(shape, SVT, m, cap),
+            signed_content_counter(shape, m, cap))
+
+
+def engine_counts(shape, m):
+    cap = shape.size() + 2
+    return (tb.content_counts(shape, SSYT, num_vars=m),
+            tb.content_counts(shape, RPP, num_vars=m),
+            tb.content_counts(shape, SVT, num_vars=m, max_total_size=cap),
+            tb.signed_svt_counts(shape, num_vars=m, max_total_size=cap))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.sampled_from(SMALL_SHAPES), st.integers(min_value=1, max_value=3))
+def test_chain_sweeps_match_stream_cold_and_warm(shape, m):
+    tb._chain_cache.clear()
+    cold = engine_counts(shape, m)
+    # warm: the rows were built by the straight shape with the same outer
+    tb._chain_cache.clear()
+    engine_counts(SkewShape(shape.outer, EMPTY), m)
+    warm = engine_counts(shape, m)
+    assert cold == warm == stream_counts(shape, m)
+    for counts in cold:
+        assert list(counts) == sorted(counts, key=graded_lex_key)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.sampled_from(SMALL_SHAPES), st.integers(min_value=1, max_value=3))
+def test_single_counts_match_stream(shape, m):
+    # count_fillings alone, from a cold cache: one DP, no sweep around it
+    tb._chain_cache.clear()
+    cap = shape.size() + 2
+    expected = dict(zip((SSYT, RPP, SVT), stream_counts(shape, m)))
+    contents = [t for s in range(cap + 2)
+                for t in partitions_of(s, max_length=m)]
+    for kind, counts in expected.items():
+        limit = cap if kind == SVT else None
+        for t in contents:
+            want = counts.get(t, 0) if sum(t) <= cap else 0
+            assert tb.count_fillings(shape, kind, t,
+                                     max_total_size=limit) == want, (kind, t)
 
 
 def test_empty_shape_counts():
