@@ -10,14 +10,12 @@ decimal strings).
 Exit codes: 0 on success (for ``verify``/``scan``: every gated case
 holds, and there is at least one case), 1 when a verification suite
 fails (the report is still emitted), 2 on usage errors.
-
-The environment variable STAIRCASE_GROTH_THREADS caps case-level
-parallelism in the verification suites.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
@@ -36,6 +34,13 @@ from .symfunc import TruncationProfile
 
 class UsageError(Exception):
     pass
+
+
+# polynomial constructors by --kind, each taking a skew shape and a profile
+_KINDS = {"s": gr.schur, "g": gr.dual_g, "G": gr.big_G}
+# changes of basis out of the monomial basis by --target
+_TARGETS = {"s": sf.m_to_schur, "g": gr.expand_in_g, "G": gr.expand_in_G,
+            "e": sf.m_to_e, "h": sf.m_to_h}
 
 
 def _parse_partition_opt(text: str, option: str):
@@ -93,9 +98,19 @@ def _emit(doc: dict, fmt: str, out) -> None:
         out.write(f"{key}={json.dumps(val)}\n")
 
 
-def _cmd_compute(args, out) -> int:
+def _polynomial(args) -> tuple:
+    """The --kind polynomial of --shape and the --deg/--vars profile."""
     shape = _parse_skew_opt(args.shape, "--shape")
+    trunc = _profile(args, shape.size())
+    try:
+        return _KINDS[args.kind](shape, trunc), trunc
+    except ValueError as e:
+        raise UsageError(f"--shape/--deg: {e}") from None
+
+
+def _cmd_compute(args, out) -> int:
     if args.kind == "G-double":
+        shape = _parse_skew_opt(args.shape, "--shape")
         if shape.inner:
             raise UsageError("--shape: G-double takes a straight outer shape; "
                              "pass the inner through --mu")
@@ -107,47 +122,19 @@ def _cmd_compute(args, out) -> int:
             poly = gr.big_G_double(shape.outer, mu, trunc)
         except ValueError as e:
             raise UsageError(f"--mu: {e}") from None
+    elif args.mu is not None:
+        raise UsageError("--mu: only meaningful for kind G-double")
     else:
-        if args.mu is not None:
-            raise UsageError("--mu: only meaningful for kind G-double")
-        trunc = _profile(args, shape.size())
-        try:
-            if args.kind == "s":
-                poly = gr.schur(shape, trunc)
-            elif args.kind == "g":
-                poly = gr.dual_g(shape, trunc)
-            else:
-                poly = gr.big_G(shape, trunc)
-        except ValueError as e:
-            raise UsageError(f"--shape/--deg: {e}") from None
+        poly, trunc = _polynomial(args)
     _emit(_coeff_doc(args.kind, "m", poly.coeffs, trunc), args.format, out)
     return 0
 
 
 def _cmd_expand(args, out) -> int:
-    shape = _parse_skew_opt(args.shape, "--shape")
-    trunc = _profile(args, shape.size())
-    try:
-        if args.kind == "s":
-            poly = gr.schur(shape, trunc)
-        elif args.kind == "g":
-            poly = gr.dual_g(shape, trunc)
-        else:
-            poly = gr.big_G(shape, trunc)
-    except ValueError as e:
-        raise UsageError(f"--shape/--deg: {e}") from None
-    target = args.target
-    if target == "s":
-        exp = sf.m_to_schur(poly)
-    elif target == "g":
-        exp = gr.expand_in_g(poly)
-    elif target == "G":
-        exp = gr.expand_in_G(poly)
-    elif target == "h":
-        exp = sf.m_to_h(poly)
-    else:
-        exp = sf.m_to_e(poly)
-    _emit(_coeff_doc(args.kind, target, exp.coeffs, trunc), args.format, out)
+    poly, trunc = _polynomial(args)
+    exp = _TARGETS[args.target](poly)
+    _emit(_coeff_doc(args.kind, args.target, exp.coeffs, trunc), args.format,
+          out)
     return 0
 
 
@@ -208,48 +195,51 @@ def _render_report(report, fmt: str, out) -> int:
     return 0 if report.passed else 1
 
 
-def _run_suite(args) -> vf.Report:
-    suite = args.suite
+def _piece_names(text: str):
+    # an empty list keeps the suite's default, every piece
+    return tuple(x.strip() for x in text.split(",") if x.strip()) or None
 
-    def n_or(default: int) -> int:
-        return default if args.n is None else args.n
 
-    if suite == "stembridge-g":
-        return vf.verify_stembridge_g(n_or(4))
-    if suite == "stembridge-G":
-        return vf.verify_stembridge_G(n_or(3), args.extra_degrees)
-    if suite == "lattice-rules":
-        return vf.verify_lattice_rules(n_or(4))
-    if suite == "alpha-recurrence":
-        if args.k is None:
-            raise UsageError("--k: required for suite alpha-recurrence")
-        return vf.verify_alpha_recurrence(n_or(4), args.k,
-                                          refined=not args.literal_only)
-    if suite == "basis":
-        return vf.verify_basis_identities(
-            args.k_max, args.deg if args.deg is not None else 7)
-    if suite == "hopf":
-        include = vf.HOPF_PIECES
-        if args.include:
-            include = tuple(x.strip() for x in args.include.split(",") if x.strip())
-        return vf.verify_hopf(n_or(3), args.deg, include)
-    if suite == "converse":
-        return vf.converse_scan(args.max_size)
-    if suite == "multiply-oracle":
-        return vf.verify_multiply_oracle(args.pairs, args.deg or 6, args.seed)
-    raise UsageError(f"--suite: unknown suite {suite!r}")
+# verify flag -> (suite keyword it sets, argparse settings).  A flag left
+# out is None and is not passed, so the suite's signature default holds.
+_SUITE_FLAGS = {
+    "--n": ("n", {"type": int, "help": "staircase index (default 4 for "
+                  "stembridge-g, lattice-rules and alpha-recurrence; 3 for "
+                  "stembridge-G and hopf)"}),
+    "--k": ("k", {"type": int}),
+    "--k-max": ("k_max", {"type": int}),
+    "--deg": ("max_degree", {"type": int, "metavar": "DEG"}),
+    "--extra-degrees": ("extra_degrees", {"type": int}),
+    "--max-size": ("max_size", {"type": int}),
+    "--literal-only": ("refined", {
+        "action": "store_false",
+        "help": "alpha-recurrence: skip the stratified variant"}),
+    "--include": ("include", {
+        "type": _piece_names,
+        "help": f"hopf: comma-separated piece names "
+                f"({', '.join(vf.HOPF_PIECES)})"}),
+    "--pairs": ("pairs", {"type": int}),
+    "--seed": ("seed", {"type": int}),
+}
 
 
 def _cmd_verify(args, out) -> int:
+    # looked up per call so that a suite replaced on the module is the one run
+    suite = getattr(vf, vf.SUITES[args.suite].__name__)
+    params = inspect.signature(suite).parameters
+    kwargs = {}
+    for flag, (key, _) in _SUITE_FLAGS.items():
+        value = getattr(args, key, None)
+        if value is None:
+            continue
+        if key not in params:
+            raise UsageError(f"{flag}: not taken by suite {args.suite}")
+        kwargs[key] = value
     try:
-        report = _run_suite(args)
+        report = suite(**kwargs)
     except vf.ParameterError as e:
         raise UsageError(f"--suite {args.suite}: {e}") from None
     return _render_report(report, args.format, out)
-
-
-def _cmd_scan(args, out) -> int:
-    return _render_report(vf.converse_scan(args.max_size), args.format, out)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -263,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("compute", help="compute a polynomial in the m basis")
-    p.add_argument("--kind", choices=("s", "g", "G", "G-double"), required=True)
+    p.add_argument("--kind", choices=(*_KINDS, "G-double"), required=True)
     p.add_argument("--shape", required=True,
                    help="outer[/inner], e.g. 3,2,1/1")
     p.add_argument("--mu", help="inner partition for kind G-double")
@@ -272,9 +262,9 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("expand", help="expand a polynomial in another basis")
-    p.add_argument("--kind", choices=("s", "g", "G"), required=True)
+    p.add_argument("--kind", choices=tuple(_KINDS), required=True)
     p.add_argument("--shape", required=True)
-    p.add_argument("--target", choices=("s", "g", "G", "e", "h"), required=True)
+    p.add_argument("--target", choices=tuple(_TARGETS), required=True)
     p.add_argument("--vars", type=int, default=None)
     p.add_argument("--deg", type=int, default=None)
     add_common(p)
@@ -290,25 +280,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run an identity suite")
     p.add_argument("--suite", required=True, choices=sorted(vf.SUITES))
-    p.add_argument("--n", type=int, default=None,
-                   help="staircase index (defaults: 4 for g suites, 3 for "
-                        "G suites)")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--k-max", dest="k_max", type=int, default=4)
-    p.add_argument("--deg", type=int, default=None)
-    p.add_argument("--extra-degrees", dest="extra_degrees", type=int, default=3)
-    p.add_argument("--max-size", dest="max_size", type=int, default=12)
-    p.add_argument("--literal-only", action="store_true",
-                   help="alpha-recurrence: skip the stratified variant")
-    p.add_argument("--include",
-                   help="hopf: comma-separated piece names "
-                        f"({', '.join(vf.HOPF_PIECES)})")
-    p.add_argument("--pairs", type=int, default=100)
-    p.add_argument("--seed", type=int, default=vf.DEFAULT_SEED)
+    for flag, (key, opts) in _SUITE_FLAGS.items():
+        p.add_argument(flag, dest=key, default=None, **opts)
     add_common(p)
 
     p = sub.add_parser("scan", help="converse scan over all small shapes")
-    p.add_argument("--max-size", dest="max_size", type=int, default=12)
+    key, opts = _SUITE_FLAGS["--max-size"]
+    p.add_argument("--max-size", dest=key, default=None, **opts)
+    p.set_defaults(suite="converse")
     add_common(p)
 
     return parser
@@ -319,7 +298,7 @@ _COMMANDS = {
     "expand": _cmd_expand,
     "coeff": _cmd_coeff,
     "verify": _cmd_verify,
-    "scan": _cmd_scan,
+    "scan": _cmd_verify,
 }
 
 

@@ -124,15 +124,14 @@ def big_G_double(outer: Partition, mu: Partition,
     mu = partition(mu)
     if not contains(outer, mu):
         raise ValueError(f"{mu} is not contained in {outer}")
-    total = SymFunc.zero(trunc)
+    coeffs: dict[Partition, int] = {}
     for sigma in subpartitions(mu):
         if not classify_strip(SkewShape(mu, sigma)).rook:
             continue
-        term = big_G(SkewShape(outer, sigma), trunc)
-        if (sum(mu) - sum(sigma)) % 2:
-            term = -term
-        total = total + term
-    return total
+        sign = -1 if (sum(mu) - sum(sigma)) % 2 else 1
+        for k, c in big_G(SkewShape(outer, sigma), trunc).coeffs.items():
+            coeffs[k] = coeffs.get(k, 0) + sign * c
+    return SymFunc(coeffs, trunc)
 
 
 def lr_coeff(nu: Partition, mu: Partition, target: Partition) -> SignedCount:
@@ -156,24 +155,32 @@ def alpha(shape: SkewShape, content: Partition) -> SignedCount:
     return SignedCount(value, sum(content) - shape.size())
 
 
-def expand_in_g(f: SymFunc) -> BasisExpansion:
-    """Expansion of f in the dual stable Grothendieck basis.
+def _peel(f: SymFunc, basis: str, end) -> BasisExpansion:
+    """Expansion of f in a basis whose element b_lam has s_lam as its
+    homogeneous part at the ``end`` (max or min) of its degrees.
 
-    Peels from the top degree down: the top homogeneous part of g_lam is
-    s_lam, so reading the Schur coefficients of the current top part and
-    subtracting those multiples of g_lam strictly lowers the degree.
+    Reads the Schur coefficients of f's part at that end and subtracts
+    those multiples of the b_lam, which clears that degree and leaves
+    only degrees further in, until nothing is left.
     """
     out: dict[Partition, int] = {}
     work = f
     while not work.is_zero():
-        d = max(work.degrees())
-        s_exp = m_to_schur(work.homogeneous_part(d))
-        delta = SymFunc.zero(f.trunc)
+        s_exp = m_to_schur(work.homogeneous_part(end(work.degrees())))
         for lam, c in s_exp.coeffs.items():
             out[lam] = out.get(lam, 0) + c
-            delta = delta + dual_g(SkewShape(lam, EMPTY), f.trunc).scale(c)
-        work = work - delta
-    return BasisExpansion("g", out, f.trunc)
+        work = work - expansion_to_symfunc(
+            BasisExpansion(basis, s_exp.coeffs, f.trunc))
+    return BasisExpansion(basis, out, f.trunc)
+
+
+def expand_in_g(f: SymFunc) -> BasisExpansion:
+    """Expansion of f in the dual stable Grothendieck basis.
+
+    Peels from the top degree down: the top homogeneous part of g_lam is
+    s_lam.
+    """
+    return _peel(f, "g", max)
 
 
 def expand_in_G(f: SymFunc) -> BasisExpansion:
@@ -182,33 +189,24 @@ def expand_in_G(f: SymFunc) -> BasisExpansion:
     Peels from the bottom degree up: the bottom part of G_lam is s_lam.
     The result represents f modulo degrees above the profile cap.
     """
-    out: dict[Partition, int] = {}
-    work = f
-    while not work.is_zero():
-        d = min(work.degrees())
-        s_exp = m_to_schur(work.homogeneous_part(d))
-        delta = SymFunc.zero(f.trunc)
-        for lam, c in s_exp.coeffs.items():
-            out[lam] = out.get(lam, 0) + c
-            delta = delta + big_G(SkewShape(lam, EMPTY), f.trunc).scale(c)
-        work = work - delta
-    return BasisExpansion("G", out, f.trunc)
+    return _peel(f, "G", min)
+
+
+def _conjugate_indices(f: BasisExpansion, basis: str) -> BasisExpansion:
+    if f.basis != basis:
+        raise ValueError(f"expected a {basis}-basis expansion, got {f.basis}")
+    return BasisExpansion(basis, {conjugate(k): c for k, c in f.coeffs.items()},
+                          f.trunc)
 
 
 def tau(f: BasisExpansion) -> BasisExpansion:
     """Conjugate every index of a G-basis expansion: G_lam -> G_lam'."""
-    if f.basis != "G":
-        raise ValueError("tau acts on G-basis expansions")
-    return BasisExpansion("G", {conjugate(k): c for k, c in f.coeffs.items()},
-                          f.trunc)
+    return _conjugate_indices(f, "G")
 
 
 def tau_bar(f: BasisExpansion) -> BasisExpansion:
     """Conjugate every index of a g-basis expansion: g_lam -> g_lam'."""
-    if f.basis != "g":
-        raise ValueError("tau_bar acts on g-basis expansions")
-    return BasisExpansion("g", {conjugate(k): c for k, c in f.coeffs.items()},
-                          f.trunc)
+    return _conjugate_indices(f, "g")
 
 
 def expansion_to_symfunc(exp: BasisExpansion,
@@ -220,7 +218,7 @@ def expansion_to_symfunc(exp: BasisExpansion,
     """
     if trunc is None:
         trunc = exp.trunc
-    total = SymFunc.zero(trunc)
+    total: dict[Partition, int] = {}
     for lam, c in exp.coeffs.items():
         if sum(lam) > trunc.max_degree:
             continue
@@ -234,8 +232,9 @@ def expansion_to_symfunc(exp: BasisExpansion,
             term = dual_g(SkewShape(lam, EMPTY), trunc)
         else:
             term = big_G(SkewShape(lam, EMPTY), trunc)
-        total = total + term.scale(c)
-    return total
+        for k, v in term.coeffs.items():
+            total[k] = total.get(k, 0) + c * v
+    return SymFunc(total, trunc)
 
 
 def to_schur_expansion(exp: BasisExpansion,

@@ -23,7 +23,7 @@ agree with filtering the naive stream and is tested to.  The chain
 transitions are cached per outer shape and per process, row by row as
 they are first used; a count's own DP state lives only as long as that
 count or sweep.  Caches are only ever extended with finished, idempotent
-values, so concurrent readers are safe.
+values.
 """
 
 from __future__ import annotations
@@ -323,9 +323,8 @@ class _ChainTables:
     ``rows[kind][i]`` maps a weight to the transitions out of state i:
     end states for ssyt and rpp, (end state, multiplier) pairs for svt,
     where the signed kind carries the sign of the open-cell events.  A row
-    is built on first use and never changes afterwards, so concurrent
-    readers see no row or a finished one; the DP state of a count lives
-    in that count.
+    is built on first use and never changes afterwards; the DP state of a
+    count lives in that count.
     """
 
     def __init__(self, outer: Partition):

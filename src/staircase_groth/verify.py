@@ -7,21 +7,18 @@ comparison fails.  The alpha-recurrence suite additionally records
 non-gating findings for the literal form of the recurrence, which is
 known to disagree with direct counting on small cases.
 
-Reports are deterministic for fixed parameters: cases are generated in
-canonical input order (subpartitions and contents in graded lex order,
-bounds ascending), never in completion order.  Case evaluation may be
-parallelized by setting STAIRCASE_GROTH_THREADS; assembly stays ordered.
-Suites consume only the public operations of the other modules.  A
-suite given a parameter outside the range it supports raises
-ParameterError before it runs any case.
+Reports are deterministic for fixed parameters: cases are generated and
+run in canonical input order (subpartitions and contents in graded lex
+order, bounds ascending).  Suites consume only the public operations of
+the other modules.  A suite's signature holds the defaults the command
+line uses.  A suite given a parameter outside the range it supports
+raises ParameterError before it runs any case.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
 
@@ -95,24 +92,9 @@ class Report:
         }
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("STAIRCASE_GROTH_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
 def _evaluate(specs: list) -> list:
-    """Run (inputs, relation, thunk) specs, order-stable."""
-    n = _thread_count()
-    if n > 1 and len(specs) > 1:
-        with ThreadPoolExecutor(max_workers=n) as ex:
-            outcomes = list(ex.map(lambda s: s[2](), specs))
-    else:
-        outcomes = [s[2]() for s in specs]
-    return [Case(s[0], s[1], *out) for s, out in zip(specs, outcomes)]
+    """Run (inputs, relation, thunk) specs in order."""
+    return [Case(inputs, relation, *thunk()) for inputs, relation, thunk in specs]
 
 
 def _profile_dict(trunc: TruncationProfile) -> dict:
@@ -154,7 +136,7 @@ def _sorted_partitions(max_size: int, min_size: int = 0):
 # Stembridge suites
 
 
-def verify_stembridge_g(n: int) -> Report:
+def verify_stembridge_g(n: int = 4) -> Report:
     """g(rho_n/mu) == g(rho_n/mu') for every mu inside the staircase."""
     _check_n(n)
     rho = staircase(n)
@@ -175,7 +157,7 @@ def verify_stembridge_g(n: int) -> Report:
     return Report("stembridge-g", _evaluate(specs), _profile_dict(trunc))
 
 
-def verify_stembridge_G(n: int, extra_degrees: int = 3) -> Report:
+def verify_stembridge_G(n: int = 3, extra_degrees: int = 3) -> Report:
     """G(rho_n/mu) == G(rho_n/mu'), truncated |shape| + extra degrees up."""
     _check_n(n)
     if extra_degrees < 0:
@@ -224,7 +206,7 @@ def _lower_block_multiplicity_free(filling: tb.SetFilling, nu: Partition) -> boo
     return True
 
 
-def verify_lattice_rules(n: int) -> Report:
+def verify_lattice_rules(n: int = 4) -> Report:
     """Product-coefficient equality c(rho; k-row vs k-column) plus the
     structural facts about lattice fillings of the joined shapes, and the
     skew-coefficient equality alpha(rho/(k)) == alpha(rho/(1^k))."""
@@ -289,7 +271,8 @@ def verify_lattice_rules(n: int) -> Report:
     return Report("lattice-rules", _evaluate(specs))
 
 
-def verify_alpha_recurrence(n: int, k: int, refined: bool = True) -> Report:
+def verify_alpha_recurrence(n: int = 4, k: int | None = None,
+                            refined: bool = True) -> Report:
     """Row-removal recurrence for the alpha counts on staircase skews.
 
     The literal recurrence alpha(rho_n/(k), nu) = alpha(rho_{n-1}/(k),
@@ -303,6 +286,8 @@ def verify_alpha_recurrence(n: int, k: int, refined: bool = True) -> Report:
     stratified variant is checked as a gated case.
     """
     _check_n(n)
+    if k is None:
+        raise ParameterError("k is required")
     if not 1 <= k < n:
         raise ParameterError("need 1 <= k < n")
     rho = staircase(n)
@@ -390,7 +375,7 @@ def _pieri_vstrips(lam: Partition, k: int) -> list:
     return [conjugate(nu) for nu in _pieri_hstrips(conjugate(lam), k)]
 
 
-def verify_basis_identities(k_max: int, max_degree: int) -> Report:
+def verify_basis_identities(k_max: int = 4, max_degree: int = 7) -> Report:
     """Column G's against alternating elementary sums, the binomial G
     expansion of e_k, the single-row g's against h_k, and Pieri sums."""
     if k_max < 1:
@@ -464,7 +449,7 @@ def verify_basis_identities(k_max: int, max_degree: int) -> Report:
 # Hopf suite
 
 
-def verify_hopf(n: int, max_degree: int | None = None,
+def verify_hopf(n: int = 3, max_degree: int | None = None,
                 include: tuple = HOPF_PIECES) -> Report:
     """Comultiplication, skewing, conjugation, and duality identities.
 
@@ -641,7 +626,7 @@ def verify_hopf(n: int, max_degree: int | None = None,
 # converse scan
 
 
-def converse_scan(max_size: int) -> Report:
+def converse_scan(max_size: int = 12) -> Report:
     """Scan all partitions up to max_size: the shapes for which skewing
     by a row always matches skewing by the equal-size column must be
     exactly the staircases.

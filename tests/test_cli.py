@@ -1,7 +1,11 @@
 import hashlib
+import inspect
 import io
 import json
+import re
+from pathlib import Path
 
+from staircase_groth import cli as cli_module
 from staircase_groth import verify as vf
 from staircase_groth.cli import run
 
@@ -110,6 +114,12 @@ def test_usage_errors_exit_2():
             ("verify", "--suite", "basis", "--k-max", "0"),
             ("verify", "--suite", "converse", "--max-size", "0"),
             ("verify", "--suite", "hopf", "--n", "2", "--deg", "1"),
+            ("verify", "--suite", "multiply-oracle", "--deg", "0"),
+            ("verify", "--suite", "basis", "--n", "2"),
+            ("verify", "--suite", "converse", "--n", "3"),
+            ("verify", "--suite", "stembridge-g", "--n", "2", "--pairs", "3"),
+            ("verify", "--suite", "stembridge-g", "--literal-only"),
+            ("scan", "--max-size", "0"),
             ("frobnicate",),
     ):
         code, _ = cli(*argv)
@@ -191,6 +201,24 @@ def test_empty_report_does_not_pass(monkeypatch):
     assert code == 1
     assert "passed: false" in out and "cases: 0" in out
     assert not vf.Report("demo", []).passed
+
+
+def test_suite_flags_reach_every_keyword_with_readme_defaults():
+    # README's suite table lists each suite's flags, with the default
+    # where it is a number; it must agree with the suite signatures
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("| suite | flags (default) |")[1].split("\n\n")[0]
+    rows = dict(re.findall(r"^\| `([\w-]+)` \| (.*) \|$", table, re.M))
+    assert set(rows) == set(vf.SUITES)
+    for name, suite in vf.SUITES.items():
+        params = inspect.signature(suite).parameters
+        keys = {}
+        for flag, default in re.findall(r"`(--[\w-]+)(?: (\d+))?`", rows[name]):
+            key = cli_module._SUITE_FLAGS[flag][0]
+            keys[key] = default
+            if default:
+                assert params[key].default == int(default), (name, flag)
+        assert set(keys) == set(params), name
 
 
 # SHA-256 of stdout (json, then text) for cheap commands covering every

@@ -2,6 +2,7 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from staircase_groth import grothendieck as gr
 from staircase_groth import symfunc as sf
@@ -373,3 +374,73 @@ def test_stembridge_factorization_example():
     lhs = dual_g(SkewShape((3, 2, 1), (2,)), p)
     rhs = sf.multiply(dual_g(straight((2, 1)), p), dual_g(straight((1,)), p))
     assert lhs.coeffs == rhs.coeffs
+
+
+# Randomized oracles for the peel, the index conjugation and the rook-strip
+# sum.  Skew shapes inside partitions of at most 6 cells, largest first:
+# hypothesis favours the first entries, which are the smallest shapes.
+SHAPES_6 = sorted({SkewShape(lam, mu) for d in range(7)
+                   for lam in partitions_of(d) for mu in subpartitions(lam)},
+                  key=lambda s: (-s.size(), s.outer, s.inner))
+_CONSTRUCTORS = {"g": dual_g, "G": big_G}
+
+
+def slow_realize(exp):
+    """Oracle for expansion_to_symfunc on the g and G bases: one
+    constructor call per key, summed with SymFunc +."""
+    total = SymFunc.zero(exp.trunc)
+    for lam, c in exp.coeffs.items():
+        total = total + _CONSTRUCTORS[exp.basis](straight(lam), exp.trunc).scale(c)
+    return total
+
+
+def is_rook_strip(mu, sigma):
+    """At most one cell of mu/sigma in each row and in each column."""
+    def diffs(a, b):
+        return [x - (b[i] if i < len(b) else 0) for i, x in enumerate(a)]
+    return all(d <= 1 for d in diffs(mu, sigma) + diffs(conjugate(mu),
+                                                        conjugate(sigma)))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.sampled_from(SHAPES_6), st.integers(min_value=0, max_value=2))
+def test_peels_round_trip_through_expansion_to_symfunc(shape, extra):
+    p = TruncationProfile.for_degree(shape.size() + extra)
+    for f, expand in ((dual_g(shape, p), expand_in_g),
+                      (big_G(shape, p), expand_in_G),
+                      (schur(shape, p), expand_in_g),
+                      (schur(shape, p), expand_in_G)):
+        exp = expand(f)
+        assert expansion_to_symfunc(exp).coeffs == f.coeffs
+        assert slow_realize(exp).coeffs == f.coeffs
+    if not shape.inner:
+        assert expand_in_g(dual_g(shape, p)).coeffs == {shape.outer: 1}
+        assert expand_in_G(big_G(shape, p)).coeffs == {shape.outer: 1}
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.sampled_from(SHAPES_6), st.integers(min_value=0, max_value=2))
+def test_tau_and_tau_bar_are_involutions(shape, extra):
+    p = TruncationProfile.for_degree(shape.size() + extra)
+    gexp = expand_in_g(dual_g(shape, p))
+    Gexp = expand_in_G(big_G(shape, p))
+    for conj, exp, other in ((tau, Gexp, gexp), (tau_bar, gexp, Gexp)):
+        once = conj(exp)
+        assert once.basis == exp.basis
+        assert once.coeffs == {conjugate(k): c for k, c in exp.coeffs.items()}
+        assert conj(once).coeffs == exp.coeffs
+        with pytest.raises(ValueError):
+            conj(other)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.sampled_from(SHAPES_6), st.integers(min_value=0, max_value=2))
+def test_big_G_double_matches_slow_rook_strip_sum(shape, extra):
+    outer, mu = shape.outer, shape.inner
+    p = TruncationProfile.for_degree(sum(outer) + extra)
+    want = SymFunc.zero(p)
+    for sigma in subpartitions(mu):
+        if is_rook_strip(mu, sigma):
+            term = big_G(SkewShape(outer, sigma), p)
+            want = want + (-term if (sum(mu) - sum(sigma)) % 2 else term)
+    assert big_G_double(outer, mu, p).coeffs == want.coeffs

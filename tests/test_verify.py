@@ -127,11 +127,3 @@ def test_multiply_oracle_seeded():
     c = vf.verify_multiply_oracle(10, 5, seed=43)
     assert [x.inputs for x in a.cases] != [x.inputs for x in c.cases]
 
-
-def test_thread_env_does_not_change_results(monkeypatch):
-    base = vf.verify_stembridge_g(2).to_dict()
-    monkeypatch.setenv("STAIRCASE_GROTH_THREADS", "3")
-    threaded = vf.verify_stembridge_g(2).to_dict()
-    assert base == threaded
-    monkeypatch.setenv("STAIRCASE_GROTH_THREADS", "not-a-number")
-    assert vf.verify_stembridge_g(2).to_dict() == base
