@@ -9,7 +9,8 @@ decimal strings).
 
 Exit codes: 0 on success (for ``verify``/``scan``: every gated case
 holds, and there is at least one case), 1 when a verification suite
-fails (the report is still emitted), 2 on usage errors.
+fails (the report is still emitted) or the reader of the output closes
+it early, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import os
 import sys
 
 from . import grothendieck as gr
@@ -196,8 +198,10 @@ def _render_report(report, fmt: str, out) -> int:
 
 
 def _piece_names(text: str):
-    # an empty list keeps the suite's default, every piece
-    return tuple(x.strip() for x in text.split(",") if x.strip()) or None
+    names = tuple(x.strip() for x in text.split(",") if x.strip())
+    if not names:
+        raise argparse.ArgumentTypeError("no piece names given")
+    return names
 
 
 # verify flag -> (suite keyword it sets, argparse settings).  A flag left
@@ -314,7 +318,18 @@ def run(argv=None, out=None) -> int:
     except UsageError as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
+    except BrokenPipeError:
+        # the reader closed the output early (``verify ... | head``)
+        return 1
 
 
 def main() -> None:
-    sys.exit(run())
+    code = run()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python's SIGPIPE recipe: send the flush at exit to devnull, so
+        # a closed pipe gives exit 1 and no traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

@@ -14,8 +14,9 @@ monomial basis under a truncation profile.
 On top of the constructors sit the signed lattice counts expanding
 products and skews in the G basis, the unitriangular expansions into the
 g and G bases, the conjugation involutions on those bases, and the
-skewing operator (the Hall adjoint of multiplication), computed through
-the two-alphabet splitting of its argument.
+skewing operator (the Hall adjoint of multiplication), computed by the
+duality of the h and m bases: the operator's h-expansion pairs against
+the multiset splits of its argument's monomial keys.
 """
 
 from __future__ import annotations
@@ -39,11 +40,11 @@ from .symfunc import (
     BasisExpansion,
     SymFunc,
     TruncationProfile,
+    _multiset_splits,
     basis_element,
-    hall_inner,
+    m_to_h,
     m_to_schur,
     schur_to_m,
-    split_alphabets,
 )
 
 
@@ -248,23 +249,18 @@ def to_schur_expansion(exp: BasisExpansion,
 def skew_by(f: BasisExpansion, a: SymFunc) -> SymFunc:
     """Skewing operator: the Hall adjoint of multiplication by f.
 
-    Splits ``a`` over two alphabets and pairs f against the first-alphabet
-    part: the coefficient of m_beta in the result is the inner product of
-    f with the symmetric function collecting every alpha paired with that
-    beta.  Satisfies the adjunction <g, skew_by(f, a)> = <f g, a>.
+    The h and m bases are dual under the Hall inner product, so writing
+    f = sum_gamma c_gamma h_gamma gives the coefficient of m_beta in the
+    result as sum_gamma c_gamma [m_{gamma u beta}] a, where gamma u beta
+    is the multiset union of parts.  f is realized at a's profile, so a
+    G-basis f is truncated there.  Satisfies the adjunction
+    <g, skew_by(f, a)> = <f g, a>.
     """
-    fs = to_schur_expansion(f, a.trunc)
-    fdeg = {sum(k) for k in fs.coeffs}
-    if not fdeg:
-        return SymFunc.zero(a.trunc)
-    nv = a.trunc.num_vars
-    by_beta: dict[Partition, dict[Partition, int]] = {}
-    for (al, beta), c in split_alphabets(a, nv, nv).items():
-        if sum(al) in fdeg:
-            by_beta.setdefault(beta, {})[al] = c
+    fh = m_to_h(expansion_to_symfunc(f, a.trunc)).coeffs
     out: dict[Partition, int] = {}
-    for beta, amap in by_beta.items():
-        val = hall_inner(fs, m_to_schur(SymFunc(amap, a.trunc)))
-        if val:
-            out[beta] = val
+    for lam, c in a.coeffs.items():
+        for gamma, beta in _multiset_splits(lam):
+            k = fh.get(gamma)
+            if k:
+                out[beta] = out.get(beta, 0) + k * c
     return SymFunc(out, a.trunc)

@@ -2,7 +2,10 @@ import hashlib
 import inspect
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 from staircase_groth import cli as cli_module
@@ -120,6 +123,8 @@ def test_usage_errors_exit_2():
             ("verify", "--suite", "stembridge-g", "--n", "2", "--pairs", "3"),
             ("verify", "--suite", "stembridge-g", "--literal-only"),
             ("scan", "--max-size", "0"),
+            ("verify", "--suite", "hopf", "--include", ""),
+            ("verify", "--suite", "hopf", "--include", ","),
             ("frobnicate",),
     ):
         code, _ = cli(*argv)
@@ -192,6 +197,24 @@ def test_verify_usage_errors_print_no_traceback(capsys):
     err = capsys.readouterr().err
     assert err == ("error: --suite stembridge-g: staircase index must be "
                    "in 1..6, got 9\n")
+
+
+def test_closed_output_exits_1_without_traceback():
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError
+
+    assert run(["verify", "--suite", "stembridge-g", "--n", "2"],
+               ClosedPipe()) == 1
+    # the real entry point: the reader is gone before anything is written
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "staircase_groth", "verify", "--suite", "hopf",
+         "--n", "2"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 def test_empty_report_does_not_pass(monkeypatch):
@@ -288,6 +311,9 @@ GOLDEN = (
     ("verify --suite hopf --n 2",
      "30f2f1ae51b1c050a5afb4417df102c0dc200b34498a59409ba388529dbf5741",
      "788d609fb05bc59b709933591d4de47856ee4badeb7a50960c96a962daf93481"),
+    ("verify --suite hopf --n 3",
+     "d59c49a78941a169573e88415f1f47ac8f7949b68fc42072ff5b7e11a74c93e1",
+     "19fb87621238f9a342094ac10150fa90087ba0c00bcd803340e9344718f24b9f"),
     ("verify --suite hopf --n 2 --deg 5 --include skew-G,double-sum,ek-tau",
      "d07183a3f81bda7cb1d385cab4cb28243c83c099dcb66e99f5bb288aa90ed3fe",
      "57131e80b6fc085437c61252d51a893b1416c2cd2da2f1cde50472063d197741"),

@@ -444,3 +444,41 @@ def test_big_G_double_matches_slow_rook_strip_sum(shape, extra):
             term = big_G(SkewShape(outer, sigma), p)
             want = want + (-term if (sum(mu) - sum(sigma)) % 2 else term)
     assert big_G_double(outer, mu, p).coeffs == want.coeffs
+
+
+# Randomized oracle for skew_by: the Hall adjunction
+# <s_nu, skew_by(f, a)> = <f s_nu, a>, with the dense product, the Kostka
+# peel and the Hall pairing as the slow side.  f is one term in one of five
+# bases, keyed by a partition of at most one cell above a's degree cap; such
+# a key realizes to zero at a's profile.
+SHAPES_5 = [s for s in SHAPES_6 if s.size() <= 5]
+_OPERANDS = {"s": schur, "g": dual_g, "G": big_G}
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.sampled_from(SHAPES_5), st.sampled_from(sorted(_OPERANDS)),
+       st.integers(min_value=0, max_value=2),
+       st.sampled_from(("s", "h", "e", "g", "G")),
+       st.sampled_from((1, -1, 2, -3)), st.data())
+def test_skew_by_matches_hall_adjunction(shape, kind, extra, basis, c, data):
+    p = TruncationProfile.for_degree(shape.size() + extra)
+    size = data.draw(st.integers(min_value=0, max_value=p.max_degree + 1))
+    key = data.draw(st.sampled_from(list(partitions_of(size))))
+    a = _OPERANDS[kind](shape, p)
+    f = BasisExpansion(basis, {key: c},
+                       TruncationProfile.for_degree(max(p.max_degree, size)))
+    fm = expansion_to_symfunc(f, p)
+    got = skew_by(f, a)
+    if fm.is_zero():
+        assert size > p.max_degree
+        assert got == SymFunc.zero(p)
+        return
+    a_s = sf.m_to_schur(a)
+    want = {}
+    for nu in all_partitions_up_to(p.max_degree - min(fm.degrees())):
+        prod = sf.multiply(fm, sf.schur_to_m(nu, p))
+        v = sf.hall_inner(sf.m_to_schur(prod), a_s)
+        if v:
+            want[nu] = v
+    assert sf.m_to_schur(got).coeffs == want
+
