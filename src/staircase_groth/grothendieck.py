@@ -150,9 +150,14 @@ def lr_coeff(nu: Partition, mu: Partition, target: Partition) -> SignedCount:
 
 
 def alpha(shape: SkewShape, content: Partition) -> SignedCount:
-    """Lattice count expanding a skew G polynomial in straight G's."""
+    """Lattice count expanding a skew G polynomial in straight G's.
+
+    Read from one sweep over every content of size ``|content|``
+    (``tableaux.lattice_counts``), so the contents of one shape and size
+    share a single search.
+    """
     content = partition(content)
-    value = tableaux.count_lattice_fillings(shape, content)
+    value = tableaux.lattice_counts(shape, sum(content)).get(content, 0)
     return SignedCount(value, sum(content) - shape.size())
 
 

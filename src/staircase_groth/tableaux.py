@@ -24,6 +24,15 @@ transitions are cached per outer shape and per process, row by row as
 they are first used; a count's own DP state lives only as long as that
 count or sweep.  Caches are only ever extended with finished, idempotent
 values.
+
+Lattice counts (svt whose reverse reading word is a lattice word) come
+from one backtracker over the cells in reading order that checks the
+lattice condition letter by letter and returns its counts keyed by
+content.  Given a content it prunes by that content; given only the
+total size |T| it sweeps every content of that size at once.  Both are
+memoized in one cache keyed by the caller's skew shape:
+``count_lattice_fillings`` asks for one content, ``lattice_counts`` for
+the sweep.
 """
 
 from __future__ import annotations
@@ -31,7 +40,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 from .shapes import (
     EMPTY,
@@ -489,25 +499,31 @@ def _reading_order(shape: SkewShape):
     return order, right, above
 
 
-def _lattice_backtrack(shape: SkewShape, content: Partition,
-                       collect: list | None) -> int:
+def _lattice_backtrack(shape: SkewShape, total: int, content: Partition | None,
+                       collect: list | None) -> dict[Partition, int]:
+    """Counts of the lattice svt of the shape with |T| == total, keyed
+    by content.
+
+    With a content only that content is searched, and letters past its
+    parts are never tried; with none, every content of that size is.
+    """
     order, right, above = _reading_order(shape)
     ncells = len(order)
-    total = sum(content)
-    if ncells == 0:
-        return 1 if not content else 0
+    out: dict[Partition, int] = {}
     if total < ncells:
-        return 0
-    L = len(content)
+        return out
+    # with no content no letter count can reach the bound
+    bound = content if content is not None else (total,) * total
+    L = len(bound)
     counts = [0] * (L + 1)
+    top = 0  # the largest letter read so far; a lattice word uses 1..top
     sets: list[Word] = [()] * ncells
-    found = 0
 
     def rec(idx: int, remaining: int) -> None:
-        nonlocal found
         if idx == ncells:
             if remaining == 0:
-                found += 1
+                key = tuple(counts[1:top + 1])
+                out[key] = out.get(key, 0) + 1
                 if collect is not None:
                     collect.append(SetFilling(
                         shape, {order[i]: sets[i] for i in range(ncells)}))
@@ -520,18 +536,25 @@ def _lattice_backtrack(shape: SkewShape, content: Partition,
 
         def add_letter(v: int) -> bool:
             # letters enter the reading word in this order, so the
-            # lattice prefix condition and the content budget are
+            # lattice prefix condition and the content bound are
             # checked letter by letter
-            if counts[v] >= content[v - 1]:
+            nonlocal top
+            if counts[v] >= bound[v - 1]:
                 return False
             if v > 1 and counts[v] >= counts[v - 1]:
                 return False
             counts[v] += 1
+            if v > top:
+                top = v
             chosen.append(v)
             return True
 
         def pop_letter() -> None:
-            counts[chosen.pop()] -= 1
+            nonlocal top
+            v = chosen.pop()
+            counts[v] -= 1
+            if not counts[v]:
+                top = v - 1
 
         def build(next_hi: int, rem: int) -> None:
             sets[idx] = tuple(reversed(chosen))
@@ -542,18 +565,28 @@ def _lattice_backtrack(shape: SkewShape, content: Partition,
                         build(v - 1, rem - 1)
                         pop_letter()
 
-        for m in range(above_max + 1, cap + 1):
+        # the cell's largest letter is read first, so it is at most top + 1
+        for m in range(above_max + 1, min(cap, top + 1) + 1):
             if add_letter(m):
                 build(m - 1, remaining - 1)
                 pop_letter()
 
     rec(0, total)
-    return found
+    return out
 
 
 @functools.cache
-def _lattice_count(outer: Partition, inner: Partition, content: Partition) -> int:
-    return _lattice_backtrack(SkewShape(outer, inner), content, None)
+def _lattice_table(shape: SkewShape, total: int,
+                   content: Partition | None) -> Mapping[Partition, int]:
+    return MappingProxyType(_lattice_backtrack(shape, total, content, None))
+
+
+def lattice_counts(shape: SkewShape, total: int) -> Mapping[Partition, int]:
+    """Nonzero counts of the svt of the shape with |T| == total whose
+    reverse reading word is a lattice word, keyed by content: one sweep
+    over every content of that size, cached per shape and size.
+    """
+    return _lattice_table(shape, total, None)
 
 
 def count_lattice_fillings(shape: SkewShape, content: Partition) -> int:
@@ -561,13 +594,16 @@ def count_lattice_fillings(shape: SkewShape, content: Partition) -> int:
     word with exactly the given content.
 
     Entries never exceed the number of parts of the content, so the count
-    is finite with no further cap.
+    is finite with no further cap.  The search is pruned by the content,
+    which for a single content beats a sweep over all of its size.
     """
-    return _lattice_count(shape.outer, shape.inner, partition(content))
+    content = partition(content)
+    return _lattice_table(shape, sum(content), content).get(content, 0)
 
 
 def iter_lattice_fillings(shape: SkewShape, content: Partition) -> Iterator[SetFilling]:
     """Materialize the fillings behind ``count_lattice_fillings``."""
+    content = partition(content)
     acc: list[SetFilling] = []
-    _lattice_backtrack(shape, partition(content), acc)
+    _lattice_backtrack(shape, sum(content), content, acc)
     return iter(acc)

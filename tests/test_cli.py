@@ -284,6 +284,13 @@ GOLDEN = (
     ("coeff --family alpha --shape 3,2,1/1 --content 3,1,1",
      "e9b939078d756f17d83e61bdbbe41d38329d5c31891474bff24272b62666b305",
      "56b2cb57ab368a404053fbf5ad8588ea27cd08ad20edf33615953328a1de41bc"),
+    # a content two boxes larger than the shape, and one smaller (zero)
+    ("coeff --family alpha --shape 3,2,1/2 --content 3,2,1",
+     "be4f6c40b42f09e34683255f1833571a883a2d05eced4b54dafcd4c2bf98580c",
+     "eaeb29d2d1a641011711fdcfcfaf2ee4794ba474fa29ee167e58b797c2eabdbd"),
+    ("coeff --family alpha --shape 3,2,1/1 --content 2,1",
+     "ac9b0cbe1da6e4b1f05a60c28ada70aea06ea2075b9a451a23ef174d4e766e84",
+     "03212b691b5c2eb7293eefb472de1add5de4458b56f6866343c6be4e94f809b7"),
     ("verify --suite stembridge-g",
      "abc189ee30c04bdfcf38916d00fe844ca3991feeecfc6b3f7c3938a2fa39fecf",
      "3ac21f21ca0e2c4ded810e4daabb81fdc2b354ecdf0fc8a98f456b1a8632e6a9"),

@@ -342,6 +342,32 @@ def test_iter_lattice_fillings_consistent_with_count():
             assert tuple(counts[i] for i in range(1, max(counts) + 1)) == content
 
 
+def lattice_stream_counter(shape, total):
+    """Oracle for the lattice counts: the filtered svt stream."""
+    return Counter(
+        tb.content_of(t, SVT)
+        for t in tb.enumerate_fillings(shape, SVT, max(total, 1),
+                                       max_total_size=total)
+        if t.total_size() == total and tb.is_lattice(tb.reverse_reading_word(t)))
+
+
+# smallest first, which is where hypothesis draws most often
+LATTICE_SHAPES = sorted((s for s in SMALL_SHAPES if s.size() <= 5),
+                        key=lambda s: (s.size(), s.outer, s.inner))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from(LATTICE_SHAPES), st.integers(min_value=0, max_value=2))
+def test_lattice_counts_match_stream(shape, extra):
+    # cold: neither the sweep nor a single count comes from the cache
+    tb._lattice_table.cache_clear()
+    total = shape.size() + extra
+    expected = lattice_stream_counter(shape, total)
+    assert dict(tb.lattice_counts(shape, total)) == dict(expected)
+    for c in partitions_of(total):
+        assert tb.count_lattice_fillings(shape, c) == expected[c], c
+
+
 def test_lattice_block_lemmas_exhaustive():
     # staircase-content fillings of the joined shapes: the upper block is
     # row-constant and the lower block never repeats a value
