@@ -152,12 +152,13 @@ def lr_coeff(nu: Partition, mu: Partition, target: Partition) -> SignedCount:
 def alpha(shape: SkewShape, content: Partition) -> SignedCount:
     """Lattice count expanding a skew G polynomial in straight G's.
 
-    Read from one sweep over every content of size ``|content|``
-    (``tableaux.lattice_counts``), so the contents of one shape and size
-    share a single search.
+    Read from the cached sweep over every content of size ``|content|``
+    (the one behind ``tableaux.lattice_counts``), so the contents of one
+    shape and size share a single search.
     """
     content = partition(content)
-    value = tableaux.lattice_counts(shape, sum(content)).get(content, 0)
+    value = len(tableaux._lattice_table(shape, sum(content), None)
+                .get(content, ()))
     return SignedCount(value, sum(content) - shape.size())
 
 

@@ -332,20 +332,26 @@ def _inverse_kostka_row(lam: Partition) -> tuple[tuple[Partition, int], ...]:
     return tuple(sorted(exp.coeffs.items(), key=lambda kv: graded_lex_key(kv[0])))
 
 
+def _pair_with_m(f: SymFunc, schur: dict, basis: str) -> BasisExpansion:
+    """The expansion whose lam coefficient pairs the Schur expansion
+    ``schur`` with m_lam, for every partition lam of a degree of f (all
+    fit the profile, whose num_vars is at least its max_degree)."""
+    out: dict[Partition, int] = {}
+    for d in f.degrees():
+        for lam in partitions_of(d):
+            c = sum(k * schur.get(nu, 0) for nu, k in _inverse_kostka_row(lam))
+            if c:
+                out[lam] = c
+    return BasisExpansion(basis, out, f.trunc)
+
+
 def m_to_h(f: SymFunc) -> BasisExpansion:
     """Expansion of f in complete homogeneous functions.
 
     Uses the duality of {h} with {m}: the h_lam coefficient is the Hall
     pairing of f against m_lam.
     """
-    fs = m_to_schur(f).coeffs
-    out: dict[Partition, int] = {}
-    for d in f.degrees():
-        for lam in partitions_of(d, max_length=f.trunc.num_vars):
-            c = sum(k * fs.get(nu, 0) for nu, k in _inverse_kostka_row(lam))
-            if c:
-                out[lam] = c
-    return BasisExpansion("h", out, f.trunc)
+    return _pair_with_m(f, m_to_schur(f).coeffs, "h")
 
 
 def m_to_e(f: SymFunc) -> BasisExpansion:
@@ -354,12 +360,5 @@ def m_to_e(f: SymFunc) -> BasisExpansion:
     Composes the h-expansion with the involution swapping s_lam and its
     conjugate: f = sum c_lam e_lam exactly when omega(f) = sum c_lam h_lam.
     """
-    fs = m_to_schur(f).coeffs
-    omega = {conjugate(k): c for k, c in fs.items()}
-    out: dict[Partition, int] = {}
-    for d in f.degrees():
-        for lam in partitions_of(d):
-            c = sum(k * omega.get(nu, 0) for nu, k in _inverse_kostka_row(lam))
-            if c:
-                out[lam] = c
-    return BasisExpansion("e", out, f.trunc)
+    omega = {conjugate(k): c for k, c in m_to_schur(f).coeffs.items()}
+    return _pair_with_m(f, omega, "e")

@@ -25,14 +25,16 @@ they are first used; a count's own DP state lives only as long as that
 count or sweep.  Caches are only ever extended with finished, idempotent
 values.
 
-Lattice counts (svt whose reverse reading word is a lattice word) come
+Lattice fillings (svt whose reverse reading word is a lattice word) come
 from one backtracker over the cells in reading order that checks the
-lattice condition letter by letter and returns its counts keyed by
-content.  Given a content it prunes by that content; given only the
-total size |T| it sweeps every content of that size at once.  Both are
-memoized in one cache keyed by the caller's skew shape:
-``count_lattice_fillings`` asks for one content, ``lattice_counts`` for
-the sweep.
+lattice condition letter by letter and keeps every filling it reaches,
+as the tuple of its cell sets, grouped by content.  Given a content it
+prunes by that content; given only the total size |T| it sweeps every
+content of that size at once.  Both are memoized in one cache of those
+fillings keyed by the caller's skew shape, so one search per shape and
+content (or size) serves every reader: ``count_lattice_fillings`` and
+``lattice_counts`` read how many fillings it holds, and
+``iter_lattice_fillings`` rebuilds them as ``SetFilling`` objects.
 """
 
 from __future__ import annotations
@@ -499,17 +501,17 @@ def _reading_order(shape: SkewShape):
     return order, right, above
 
 
-def _lattice_backtrack(shape: SkewShape, total: int, content: Partition | None,
-                       collect: list | None) -> dict[Partition, int]:
-    """Counts of the lattice svt of the shape with |T| == total, keyed
-    by content.
+def _lattice_backtrack(shape: SkewShape, total: int, content: Partition | None
+                       ) -> dict[Partition, list[tuple[Word, ...]]]:
+    """The lattice svt of the shape with |T| == total, each as the tuple
+    of its cell sets in reading order, keyed by content.
 
     With a content only that content is searched, and letters past its
     parts are never tried; with none, every content of that size is.
     """
     order, right, above = _reading_order(shape)
     ncells = len(order)
-    out: dict[Partition, int] = {}
+    out: dict[Partition, list[tuple[Word, ...]]] = {}
     if total < ncells:
         return out
     # with no content no letter count can reach the bound
@@ -522,11 +524,7 @@ def _lattice_backtrack(shape: SkewShape, total: int, content: Partition | None,
     def rec(idx: int, remaining: int) -> None:
         if idx == ncells:
             if remaining == 0:
-                key = tuple(counts[1:top + 1])
-                out[key] = out.get(key, 0) + 1
-                if collect is not None:
-                    collect.append(SetFilling(
-                        shape, {order[i]: sets[i] for i in range(ncells)}))
+                out.setdefault(tuple(counts[1:top + 1]), []).append(tuple(sets))
             return
         if remaining - (ncells - idx) < 0:
             return
@@ -576,9 +574,9 @@ def _lattice_backtrack(shape: SkewShape, total: int, content: Partition | None,
 
 
 @functools.cache
-def _lattice_table(shape: SkewShape, total: int,
-                   content: Partition | None) -> Mapping[Partition, int]:
-    return MappingProxyType(_lattice_backtrack(shape, total, content, None))
+def _lattice_table(shape: SkewShape, total: int, content: Partition | None
+                   ) -> Mapping[Partition, list[tuple[Word, ...]]]:
+    return MappingProxyType(_lattice_backtrack(shape, total, content))
 
 
 def lattice_counts(shape: SkewShape, total: int) -> Mapping[Partition, int]:
@@ -586,7 +584,8 @@ def lattice_counts(shape: SkewShape, total: int) -> Mapping[Partition, int]:
     reverse reading word is a lattice word, keyed by content: one sweep
     over every content of that size, cached per shape and size.
     """
-    return _lattice_table(shape, total, None)
+    return {c: len(leaves) for c, leaves in
+            _lattice_table(shape, total, None).items()}
 
 
 def count_lattice_fillings(shape: SkewShape, content: Partition) -> int:
@@ -598,12 +597,13 @@ def count_lattice_fillings(shape: SkewShape, content: Partition) -> int:
     which for a single content beats a sweep over all of its size.
     """
     content = partition(content)
-    return _lattice_table(shape, sum(content), content).get(content, 0)
+    return len(_lattice_table(shape, sum(content), content).get(content, ()))
 
 
 def iter_lattice_fillings(shape: SkewShape, content: Partition) -> Iterator[SetFilling]:
-    """Materialize the fillings behind ``count_lattice_fillings``."""
+    """Materialize the fillings behind ``count_lattice_fillings``, from
+    the same cached search."""
     content = partition(content)
-    acc: list[SetFilling] = []
-    _lattice_backtrack(shape, sum(content), content, acc)
-    return iter(acc)
+    order = _reading_order(shape)[0]
+    for leaf in _lattice_table(shape, sum(content), content).get(content, ()):
+        yield SetFilling(shape, dict(zip(order, leaf)))

@@ -7,10 +7,15 @@ comparison fails.  The alpha-recurrence suite additionally records
 non-gating findings for the literal form of the recurrence, which is
 known to disagree with direct counting on small cases.
 
-Reports are deterministic for fixed parameters: cases are generated and
-run in canonical input order (subpartitions and contents in graded lex
-order, bounds ascending).  Suites consume only the public operations of
-the other modules.  A suite's signature holds the defaults the command
+A suite runs its cases one by one in its own loop: it computes the two
+sides of a case, builds a witness payload only when they differ, and
+appends the case through ``_case``, which sets the holds flag to whether
+the witness is empty.  A finding-only case has no witness.
+
+Reports are deterministic for fixed parameters: cases are run in
+canonical input order (subpartitions and contents in graded lex order,
+bounds ascending).  Suites consume only the public operations of the
+other modules.  A suite's signature holds the defaults the command
 line uses.  A suite given a parameter outside the range it supports
 raises ParameterError before it runs any case.
 """
@@ -92,9 +97,10 @@ class Report:
         }
 
 
-def _evaluate(specs: list) -> list:
-    """Run (inputs, relation, thunk) specs in order."""
-    return [Case(inputs, relation, *thunk()) for inputs, relation, thunk in specs]
+def _case(inputs: dict, relation: str, witness: dict | None,
+          finding: dict | None = None) -> Case:
+    """A case holds exactly when its comparison left no witness."""
+    return Case(inputs, relation, witness is None, witness, finding)
 
 
 def _profile_dict(trunc: TruncationProfile) -> dict:
@@ -110,6 +116,10 @@ def _sym_witness(lhs: SymFunc, rhs: SymFunc) -> dict | None:
          "lhs": str(lhs.coeffs.get(k, 0)),
          "rhs": str(rhs.coeffs.get(k, 0))}
         for k in keys if lhs.coeffs.get(k, 0) != rhs.coeffs.get(k, 0)]}
+
+
+def _value_witness(lhs: int, rhs: int) -> dict | None:
+    return None if lhs == rhs else {"lhs": str(lhs), "rhs": str(rhs)}
 
 
 def _map_witness(lhs: dict, rhs: dict) -> dict | None:
@@ -141,20 +151,16 @@ def verify_stembridge_g(n: int = 4) -> Report:
     _check_n(n)
     rho = staircase(n)
     trunc = TruncationProfile.for_degree(sum(rho))
-    specs = []
+    cases = []
     for mu in subpartitions(rho):
         muc = conjugate(mu)
         inputs = {"n": n, "mu": format_partition(mu),
                   "mu_conjugate": format_partition(muc)}
-
-        def thunk(mu=mu, muc=muc):
-            lhs = gr.dual_g(SkewShape(rho, mu), trunc)
-            rhs = gr.dual_g(SkewShape(rho, muc), trunc)
-            w = _sym_witness(lhs, rhs)
-            return (w is None, w, None)
-
-        specs.append((inputs, "g(rho/mu) == g(rho/mu')", thunk))
-    return Report("stembridge-g", _evaluate(specs), _profile_dict(trunc))
+        lhs = gr.dual_g(SkewShape(rho, mu), trunc)
+        rhs = gr.dual_g(SkewShape(rho, muc), trunc)
+        cases.append(_case(inputs, "g(rho/mu) == g(rho/mu')",
+                           _sym_witness(lhs, rhs)))
+    return Report("stembridge-g", cases, _profile_dict(trunc))
 
 
 def verify_stembridge_G(n: int = 3, extra_degrees: int = 3) -> Report:
@@ -163,7 +169,7 @@ def verify_stembridge_G(n: int = 3, extra_degrees: int = 3) -> Report:
     if extra_degrees < 0:
         raise ParameterError("extra_degrees must be nonnegative")
     rho = staircase(n)
-    specs = []
+    cases = []
     for mu in subpartitions(rho):
         muc = conjugate(mu)
         d = sum(rho) - sum(mu) + extra_degrees
@@ -171,15 +177,11 @@ def verify_stembridge_G(n: int = 3, extra_degrees: int = 3) -> Report:
         inputs = {"n": n, "mu": format_partition(mu),
                   "mu_conjugate": format_partition(muc),
                   "max_degree": d, "num_vars": trunc.num_vars}
-
-        def thunk(mu=mu, muc=muc, trunc=trunc):
-            lhs = gr.big_G(SkewShape(rho, mu), trunc)
-            rhs = gr.big_G(SkewShape(rho, muc), trunc)
-            w = _sym_witness(lhs, rhs)
-            return (w is None, w, None)
-
-        specs.append((inputs, "G(rho/mu) == G(rho/mu') mod high degrees", thunk))
-    return Report("stembridge-G", _evaluate(specs))
+        lhs = gr.big_G(SkewShape(rho, mu), trunc)
+        rhs = gr.big_G(SkewShape(rho, muc), trunc)
+        cases.append(_case(inputs, "G(rho/mu) == G(rho/mu') mod high degrees",
+                           _sym_witness(lhs, rhs)))
+    return Report("stembridge-G", cases)
 
 
 # ---------------------------------------------------------------------------
@@ -206,69 +208,56 @@ def _lower_block_multiplicity_free(filling: tb.SetFilling, nu: Partition) -> boo
     return True
 
 
+def _block_witness(nu: Partition, mu: Partition, rho: Partition) -> dict | None:
+    """The first lattice filling of nu * mu with content rho that breaks
+    a block lemma, or None when every filling keeps both."""
+    shape = star_join(nu, mu)
+    for filling in tb.iter_lattice_fillings(shape, rho):
+        if not _nu_block_uniform(filling, nu, mu[0] if mu else 0):
+            violation = "upper block row holds more than {i}"
+        elif not _lower_block_multiplicity_free(filling, nu):
+            violation = "lower block repeats a value"
+        else:
+            continue
+        return {"shape": format_skew(shape), "violation": violation,
+                "entries": {str(c): list(v) for c, v in
+                            sorted(filling.entries.items())}}
+    return None
+
+
 def verify_lattice_rules(n: int = 4) -> Report:
     """Product-coefficient equality c(rho; k-row vs k-column) plus the
     structural facts about lattice fillings of the joined shapes, and the
     skew-coefficient equality alpha(rho/(k)) == alpha(rho/(1^k))."""
     _check_n(n)
     rho = staircase(n)
-    specs = []
+    cases = []
     for k in range(1, n + 1):
         row = (k,)
         col = (1,) * k
         for nu in subpartitions(rho):
             inputs = {"n": n, "k": k, "nu": format_partition(nu)}
-
-            def c_thunk(nu=nu, row=row, col=col):
-                a = gr.lr_coeff(nu, row, rho).value
-                b = gr.lr_coeff(nu, col, rho).value
-                if a == b:
-                    return (True, None, None)
-                return (False, {"lhs": str(a), "rhs": str(b),
-                                "shape_lhs": format_skew(star_join(nu, row)),
-                                "shape_rhs": format_skew(star_join(nu, col))},
-                        None)
-
-            specs.append((inputs, "c(rho_n; nu*(k)) == c(rho_n; nu*(1^k))",
-                          c_thunk))
-
-            def structure_thunk(nu=nu, row=row, col=col, k=k):
-                for mu in (row, col):
-                    shape = star_join(nu, mu)
-                    for filling in tb.iter_lattice_fillings(shape, rho):
-                        if not _nu_block_uniform(filling, nu, mu[0] if mu else 0):
-                            return (False, {
-                                "shape": format_skew(shape),
-                                "violation": "upper block row holds more than {i}",
-                                "entries": {str(c): list(v) for c, v in
-                                            sorted(filling.entries.items())}},
-                                None)
-                        if not _lower_block_multiplicity_free(filling, nu):
-                            return (False, {
-                                "shape": format_skew(shape),
-                                "violation": "lower block repeats a value",
-                                "entries": {str(c): list(v) for c, v in
-                                            sorted(filling.entries.items())}},
-                                None)
-                return (True, None, None)
-
-            specs.append((inputs,
-                          "lattice fillings: upper block rows are {i}; "
-                          "lower block is multiplicity free", structure_thunk))
+            witness = _value_witness(gr.lr_coeff(nu, row, rho).value,
+                                     gr.lr_coeff(nu, col, rho).value)
+            if witness:
+                witness["shape_lhs"] = format_skew(star_join(nu, row))
+                witness["shape_rhs"] = format_skew(star_join(nu, col))
+            cases.append(_case(inputs, "c(rho_n; nu*(k)) == c(rho_n; nu*(1^k))",
+                               witness))
+            cases.append(_case(inputs,
+                               "lattice fillings: upper block rows are {i}; "
+                               "lower block is multiplicity free",
+                               _block_witness(nu, row, rho)
+                               or _block_witness(nu, col, rho)))
         cells = sum(rho) - k
         for nu in _sorted_partitions(cells + 2):
             inputs = {"n": n, "k": k, "nu": format_partition(nu)}
-
-            def a_thunk(nu=nu, row=row, col=col):
-                a = gr.alpha(SkewShape(rho, row), nu).value
-                b = gr.alpha(SkewShape(rho, col), nu).value
-                if a == b:
-                    return (True, None, None)
-                return (False, {"lhs": str(a), "rhs": str(b)}, None)
-
-            specs.append((inputs, "alpha(rho/(k), nu) == alpha(rho/(1^k), nu)",
-                          a_thunk))
-    return Report("lattice-rules", _evaluate(specs))
+            cases.append(_case(inputs,
+                               "alpha(rho/(k), nu) == alpha(rho/(1^k), nu)",
+                               _value_witness(
+                                   gr.alpha(SkewShape(rho, row), nu).value,
+                                   gr.alpha(SkewShape(rho, col), nu).value)))
+    return Report("lattice-rules", cases)
 
 
 def verify_alpha_recurrence(n: int = 4, k: int | None = None,
@@ -291,8 +280,9 @@ def verify_alpha_recurrence(n: int = 4, k: int | None = None,
     if not 1 <= k < n:
         raise ParameterError("need 1 <= k < n")
     rho = staircase(n)
+    small = staircase(n - 1)
     cells = sum(rho) - k
-    specs = []
+    cases = []
     for column in (False, True):
         mu = (1,) * k if column else (k,)
         mu_small = (1,) * (k - 1) if column else ((k - 1,) if k > 1 else EMPTY)
@@ -301,44 +291,28 @@ def verify_alpha_recurrence(n: int = 4, k: int | None = None,
             inputs = {"n": n, "k": k, "mu": format_partition(mu),
                       "nu": format_partition(nu)}
             rest = nu[1:]
-
-            def literal_thunk(nu=nu, rest=rest, mu=mu, mu_small=mu_small):
-                lhs = gr.alpha(SkewShape(rho, mu), nu).value
-                rhs = (gr.alpha(SkewShape(staircase(n - 1), mu), rest).value
-                       + 2 * gr.alpha(SkewShape(staircase(n - 1), mu_small),
-                                      rest).value)
-                if lhs == rhs:
-                    return (True, None, {"form": "literal", "agrees": True,
-                                         "lhs": str(lhs), "rhs": str(rhs)})
-                return (True, None, {"form": "literal", "agrees": False,
-                                     "lhs": str(lhs), "rhs": str(rhs)})
-
-            specs.append((inputs,
-                          f"finding: alpha(rho_n/({label}), nu) vs literal "
-                          "one-row recurrence", literal_thunk))
+            lhs = gr.alpha(SkewShape(rho, mu), nu).value
+            keep = gr.alpha(SkewShape(small, mu), rest).value
+            shrink = gr.alpha(SkewShape(small, mu_small), rest).value
+            rhs = keep + 2 * shrink
+            cases.append(_case(inputs,
+                               f"finding: alpha(rho_n/({label}), nu) vs literal "
+                               "one-row recurrence", None,
+                               {"form": "literal", "agrees": lhs == rhs,
+                                "lhs": str(lhs), "rhs": str(rhs)}))
             if not refined:
                 continue
-
-            def strat_thunk(nu=nu, rest=rest, mu=mu, mu_small=mu_small):
-                lhs = gr.alpha(SkewShape(rho, mu), nu).value
-                nu1 = nu[0] if nu else 0
-                if nu1 == n:
-                    rhs = (gr.alpha(SkewShape(staircase(n - 1), mu), rest).value
-                           + gr.alpha(SkewShape(staircase(n - 1), mu_small),
-                                      rest).value)
-                elif nu1 == n - 1:
-                    rhs = gr.alpha(SkewShape(staircase(n - 1), mu_small),
-                                   rest).value
-                else:
-                    rhs = 0
-                if lhs == rhs:
-                    return (True, None, None)
-                return (False, {"lhs": str(lhs), "rhs": str(rhs)}, None)
-
-            specs.append((inputs,
-                          f"alpha(rho_n/({label}), nu) == stratified one-row "
-                          "recurrence", strat_thunk))
-    return Report("alpha-recurrence", _evaluate(specs))
+            nu1 = nu[0] if nu else 0
+            if nu1 == n:
+                rhs = keep + shrink
+            elif nu1 == n - 1:
+                rhs = shrink
+            else:
+                rhs = 0
+            cases.append(_case(inputs,
+                               f"alpha(rho_n/({label}), nu) == stratified "
+                               "one-row recurrence", _value_witness(lhs, rhs)))
+    return Report("alpha-recurrence", cases)
 
 
 # ---------------------------------------------------------------------------
@@ -383,66 +357,46 @@ def verify_basis_identities(k_max: int = 4, max_degree: int = 7) -> Report:
     if max_degree < k_max:
         raise ParameterError("need max_degree >= k_max")
     trunc = TruncationProfile.for_degree(max_degree)
-    specs = []
+    cases = []
     for k in range(1, k_max + 1):
         inputs = {"k": k, "max_degree": max_degree}
-
-        def col_thunk(k=k):
-            lhs = gr.big_G(SkewShape((1,) * k, EMPTY), trunc)
-            rhs = SymFunc.zero(trunc)
-            for m in range(k, max_degree + 1):
-                term = sf.basis_element("e", (m,), trunc).scale(comb(m - 1, k - 1))
-                rhs = rhs + (term if (m - k) % 2 == 0 else -term)
-            w = _sym_witness(lhs, rhs)
-            return (w is None, w, None)
-
-        specs.append((inputs,
-                      "G(1^k) == alternating binomial sum of e_m", col_thunk))
-
-        def ek_thunk(k=k):
-            exp = gr.expand_in_G(sf.basis_element("e", (k,), trunc))
-            want = {(1,) * m: comb(m - 1, k - 1)
-                    for m in range(k, max_degree + 1)}
-            w = _map_witness(exp.coeffs, want)
-            return (w is None, w, None)
-
-        specs.append((inputs,
-                      "G-expansion of e_k has binomial column coefficients",
-                      ek_thunk))
+        lhs = gr.big_G(SkewShape((1,) * k, EMPTY), trunc)
+        rhs = SymFunc.zero(trunc)
+        for m in range(k, max_degree + 1):
+            term = sf.basis_element("e", (m,), trunc).scale(comb(m - 1, k - 1))
+            rhs = rhs + (term if (m - k) % 2 == 0 else -term)
+        cases.append(_case(inputs, "G(1^k) == alternating binomial sum of e_m",
+                           _sym_witness(lhs, rhs)))
+        exp = gr.expand_in_G(sf.basis_element("e", (k,), trunc))
+        want = {(1,) * m: comb(m - 1, k - 1) for m in range(k, max_degree + 1)}
+        cases.append(_case(inputs,
+                           "G-expansion of e_k has binomial column coefficients",
+                           _map_witness(exp.coeffs, want)))
     for k in range(1, max_degree + 1):
-        inputs = {"k": k}
-
-        def gh_thunk(k=k):
-            p = TruncationProfile.for_degree(k)
-            lhs = gr.dual_g(SkewShape((k,), EMPTY), p)
-            rhs = sf.basis_element("h", (k,), p)
-            w = _sym_witness(lhs, rhs)
-            return (w is None, w, None)
-
-        specs.append((inputs, "g(k) == h_k", gh_thunk))
-    def pieri_case(lam: Partition, k: int, vertical: bool):
-        p = TruncationProfile.for_degree(max(sum(lam) - k, 0))
-        mu = (1,) * k if vertical else (k,)
-        if contains(lam, mu):
-            lhs = gr.schur(SkewShape(lam, mu), p)
-        else:
-            lhs = SymFunc.zero(p)
-        strips = _pieri_vstrips(lam, k) if vertical else _pieri_hstrips(lam, k)
-        rhs = SymFunc.zero(p)
-        for nu in strips:
-            rhs = rhs + sf.schur_to_m(nu, p)
-        w = _sym_witness(lhs, rhs)
-        return (w is None, w, None)
-
+        p = TruncationProfile.for_degree(k)
+        lhs = gr.dual_g(SkewShape((k,), EMPTY), p)
+        rhs = sf.basis_element("h", (k,), p)
+        cases.append(_case({"k": k}, "g(k) == h_k", _sym_witness(lhs, rhs)))
     box = (4, 4, 4, 4)
     for lam in subpartitions(box):
         for k in range(1, k_max + 1):
             inputs = {"lam": format_partition(lam), "k": k}
-            specs.append((inputs, "s(lam/(k)) == sum over horizontal strips",
-                          lambda lam=lam, k=k: pieri_case(lam, k, False)))
-            specs.append((inputs, "s(lam/(1^k)) == sum over vertical strips",
-                          lambda lam=lam, k=k: pieri_case(lam, k, True)))
-    return Report("basis", _evaluate(specs), _profile_dict(trunc))
+            p = TruncationProfile.for_degree(max(sum(lam) - k, 0))
+            for vertical, relation in (
+                    (False, "s(lam/(k)) == sum over horizontal strips"),
+                    (True, "s(lam/(1^k)) == sum over vertical strips")):
+                mu = (1,) * k if vertical else (k,)
+                if contains(lam, mu):
+                    lhs = gr.schur(SkewShape(lam, mu), p)
+                else:
+                    lhs = SymFunc.zero(p)
+                strips = (_pieri_vstrips(lam, k) if vertical
+                          else _pieri_hstrips(lam, k))
+                rhs = SymFunc.zero(p)
+                for nu in strips:
+                    rhs = rhs + sf.schur_to_m(nu, p)
+                cases.append(_case(inputs, relation, _sym_witness(lhs, rhs)))
+    return Report("basis", cases, _profile_dict(trunc))
 
 
 # ---------------------------------------------------------------------------
@@ -468,49 +422,37 @@ def verify_hopf(n: int = 3, max_degree: int | None = None,
     if unknown:
         raise ParameterError(f"unknown hopf pieces: {sorted(unknown)}")
     trunc = TruncationProfile.for_degree(max_degree)
-    specs = []
+    cases = []
 
     if "delta-g" in include:
         for lam in _sorted_partitions(min(n + 1, 5)):
-            inputs = {"lam": format_partition(lam)}
-
-            def delta_thunk(lam=lam):
-                p = TruncationProfile.for_degree(max(sum(lam), 1))
-                nv = p.num_vars
-                lhs = sf.split_alphabets(gr.dual_g(SkewShape(lam, EMPTY), p),
-                                         nv, nv)
-                rhs: dict = {}
-                for mu in subpartitions(lam):
-                    gx = gr.dual_g(SkewShape(mu, EMPTY), p).coeffs
-                    gy = gr.dual_g(SkewShape(lam, mu), p).coeffs
-                    for k1, c1 in gx.items():
-                        for k2, c2 in gy.items():
-                            key = (k1, k2)
-                            rhs[key] = rhs.get(key, 0) + c1 * c2
-                rhs = {k: v for k, v in rhs.items() if v}
-                w = _map_witness(lhs, rhs)
-                return (w is None, w, None)
-
-            specs.append((inputs,
-                          "two-alphabet split of g_lam == sum of "
-                          "g_mu (x) g_lam/mu (y)", delta_thunk))
+            p = TruncationProfile.for_degree(max(sum(lam), 1))
+            nv = p.num_vars
+            lhs = sf.split_alphabets(gr.dual_g(SkewShape(lam, EMPTY), p), nv, nv)
+            rhs: dict = {}
+            for mu in subpartitions(lam):
+                gx = gr.dual_g(SkewShape(mu, EMPTY), p).coeffs
+                gy = gr.dual_g(SkewShape(lam, mu), p).coeffs
+                for k1, c1 in gx.items():
+                    for k2, c2 in gy.items():
+                        key = (k1, k2)
+                        rhs[key] = rhs.get(key, 0) + c1 * c2
+            rhs = {k: v for k, v in rhs.items() if v}
+            cases.append(_case({"lam": format_partition(lam)},
+                               "two-alphabet split of g_lam == sum of "
+                               "g_mu (x) g_lam/mu (y)", _map_witness(lhs, rhs)))
 
     if "skew-g" in include:
         for lam in subpartitions(rho):
+            p = TruncationProfile.for_degree(max(sum(lam), 1))
+            glam = gr.dual_g(SkewShape(lam, EMPTY), p)
             for mu in subpartitions(lam):
                 inputs = {"lam": format_partition(lam),
                           "mu": format_partition(mu)}
-
-                def sg_thunk(lam=lam, mu=mu):
-                    p = TruncationProfile.for_degree(max(sum(lam), 1))
-                    glam = gr.dual_g(SkewShape(lam, EMPTY), p)
-                    lhs = gr.skew_by(BasisExpansion("G", {mu: 1}, p), glam)
-                    rhs = gr.dual_g(SkewShape(lam, mu), p)
-                    w = _sym_witness(lhs, rhs)
-                    return (w is None, w, None)
-
-                specs.append((inputs, "skew by G_mu of g_lam == g(lam/mu)",
-                              sg_thunk))
+                lhs = gr.skew_by(BasisExpansion("G", {mu: 1}, p), glam)
+                rhs = gr.dual_g(SkewShape(lam, mu), p)
+                cases.append(_case(inputs, "skew by G_mu of g_lam == g(lam/mu)",
+                                   _sym_witness(lhs, rhs)))
 
     if {"skew-G", "double-sum", "double-conj"} & set(include):
         # the skew side needs the series beyond the comparison degree:
@@ -520,59 +462,36 @@ def verify_hopf(n: int = 3, max_degree: int | None = None,
             inputs = {"n": n, "mu": format_partition(mu),
                       "max_degree": max_degree}
             if "skew-G" in include:
-
-                def sG_thunk(mu=mu):
-                    series = gr.big_G(SkewShape(rho, EMPTY), ext)
-                    skewed = gr.skew_by(BasisExpansion("g", {mu: 1}, ext),
-                                        series)
-                    lhs = SymFunc({k: c for k, c in skewed.coeffs.items()
-                                   if sum(k) <= max_degree}, trunc)
-                    rhs = gr.big_G_double(rho, mu, trunc)
-                    w = _sym_witness(lhs, rhs)
-                    return (w is None, w, None)
-
-                specs.append((inputs,
-                              "skew by g_mu of G_rho == rook-strip sum "
-                              "G(rho//mu)", sG_thunk))
+                series = gr.big_G(SkewShape(rho, EMPTY), ext)
+                skewed = gr.skew_by(BasisExpansion("g", {mu: 1}, ext), series)
+                lhs = SymFunc({k: c for k, c in skewed.coeffs.items()
+                               if sum(k) <= max_degree}, trunc)
+                rhs = gr.big_G_double(rho, mu, trunc)
+                cases.append(_case(inputs, "skew by g_mu of G_rho == rook-strip "
+                                   "sum G(rho//mu)", _sym_witness(lhs, rhs)))
             if "double-sum" in include:
-
-                def ds_thunk(mu=mu):
-                    lhs = SymFunc.zero(trunc)
-                    for sigma in subpartitions(mu):
-                        lhs = lhs + gr.big_G_double(rho, sigma, trunc)
-                    rhs = gr.big_G(SkewShape(rho, mu), trunc)
-                    w = _sym_witness(lhs, rhs)
-                    return (w is None, w, None)
-
-                specs.append((inputs,
-                              "sum of G(rho//sigma) over sigma in mu == "
-                              "G(rho/mu)", ds_thunk))
+                lhs = SymFunc.zero(trunc)
+                for sigma in subpartitions(mu):
+                    lhs = lhs + gr.big_G_double(rho, sigma, trunc)
+                rhs = gr.big_G(SkewShape(rho, mu), trunc)
+                cases.append(_case(inputs, "sum of G(rho//sigma) over sigma in "
+                                   "mu == G(rho/mu)", _sym_witness(lhs, rhs)))
             if "double-conj" in include:
-
-                def dc_thunk(mu=mu):
-                    lhs = gr.big_G_double(rho, mu, trunc)
-                    rhs = gr.big_G_double(rho, conjugate(mu), trunc)
-                    w = _sym_witness(lhs, rhs)
-                    return (w is None, w, None)
-
-                specs.append((inputs, "G(rho//mu) == G(rho//mu')", dc_thunk))
+                lhs = gr.big_G_double(rho, mu, trunc)
+                rhs = gr.big_G_double(rho, conjugate(mu), trunc)
+                cases.append(_case(inputs, "G(rho//mu) == G(rho//mu')",
+                                   _sym_witness(lhs, rhs)))
 
     if "ek-tau" in include:
         for k in range(1, 5):
-            inputs = {"n": n, "k": k}
-
-            def ek_thunk(k=k):
-                p = TruncationProfile.for_degree(max(sum(rho), k, 1))
-                grho = gr.dual_g(SkewShape(rho, EMPTY), p)
-                lhs = gr.skew_by(BasisExpansion("e", {(k,): 1}, p), grho)
-                ek = sf.basis_element("e", (k,), p)
-                rhs = gr.skew_by(gr.tau(gr.expand_in_G(ek)), grho)
-                w = _sym_witness(lhs, rhs)
-                return (w is None, w, None)
-
-            specs.append((inputs,
-                          "skew by e_k of g_rho == skew by tau(e_k) of g_rho",
-                          ek_thunk))
+            p = TruncationProfile.for_degree(max(sum(rho), k, 1))
+            grho = gr.dual_g(SkewShape(rho, EMPTY), p)
+            lhs = gr.skew_by(BasisExpansion("e", {(k,): 1}, p), grho)
+            ek = sf.basis_element("e", (k,), p)
+            rhs = gr.skew_by(gr.tau(gr.expand_in_G(ek)), grho)
+            cases.append(_case({"n": n, "k": k},
+                               "skew by e_k of g_rho == skew by tau(e_k) of g_rho",
+                               _sym_witness(lhs, rhs)))
 
     if "adjunction" in include:
         p = TruncationProfile.for_degree(8)
@@ -583,43 +502,30 @@ def verify_hopf(n: int = 3, max_degree: int | None = None,
                     inputs = {"f": format_partition(lam),
                               "g": format_partition(nu),
                               "a": format_partition(mu)}
-
-                    def adj_thunk(lam=lam, nu=nu, mu=mu, p=p):
-                        a = sf.schur_to_m(mu, p)
-                        skewed = gr.skew_by(BasisExpansion("s", {lam: 1}, p), a)
-                        lhs = sf.hall_inner(
-                            BasisExpansion("s", {nu: 1}, p), sf.m_to_schur(skewed))
-                        prod = sf.multiply(sf.schur_to_m(lam, p),
-                                           sf.schur_to_m(nu, p))
-                        rhs = sf.m_to_schur(prod).coeffs.get(mu, 0)
-                        if lhs == rhs:
-                            return (True, None, None)
-                        return (False, {"lhs": str(lhs), "rhs": str(rhs)}, None)
-
-                    specs.append((inputs,
-                                  "<s_g, skew by s_f of s_a> == <s_f s_g, s_a>",
-                                  adj_thunk))
+                    a = sf.schur_to_m(mu, p)
+                    skewed = gr.skew_by(BasisExpansion("s", {lam: 1}, p), a)
+                    lhs = sf.hall_inner(BasisExpansion("s", {nu: 1}, p),
+                                        sf.m_to_schur(skewed))
+                    prod = sf.multiply(sf.schur_to_m(lam, p),
+                                       sf.schur_to_m(nu, p))
+                    rhs = sf.m_to_schur(prod).coeffs.get(mu, 0)
+                    cases.append(_case(inputs, "<s_g, skew by s_f of s_a> == "
+                                       "<s_f s_g, s_a>", _value_witness(lhs, rhs)))
 
     if "duality" in include:
         p = TruncationProfile.for_degree(5)
         pairs = list(_sorted_partitions(5))
         for lam in pairs:
+            gexp = sf.m_to_schur(gr.big_G(SkewShape(lam, EMPTY), p))
             for mu in pairs:
-                inputs = {"lam": format_partition(lam),
-                          "mu": format_partition(mu)}
+                hexp = sf.m_to_schur(gr.dual_g(SkewShape(mu, EMPTY), p))
+                cases.append(_case({"lam": format_partition(lam),
+                                    "mu": format_partition(mu)},
+                                   "<G_lam, g_mu> == delta",
+                                   _value_witness(sf.hall_inner(gexp, hexp),
+                                                  int(lam == mu))))
 
-                def dual_thunk(lam=lam, mu=mu, p=p):
-                    gexp = sf.m_to_schur(gr.big_G(SkewShape(lam, EMPTY), p))
-                    hexp = sf.m_to_schur(gr.dual_g(SkewShape(mu, EMPTY), p))
-                    v = sf.hall_inner(gexp, hexp)
-                    want = 1 if lam == mu else 0
-                    if v == want:
-                        return (True, None, None)
-                    return (False, {"lhs": str(v), "rhs": str(want)}, None)
-
-                specs.append((inputs, "<G_lam, g_mu> == delta", dual_thunk))
-
-    return Report("hopf", _evaluate(specs), _profile_dict(trunc))
+    return Report("hopf", cases, _profile_dict(trunc))
 
 
 # ---------------------------------------------------------------------------
@@ -642,37 +548,33 @@ def converse_scan(max_size: int = 12) -> Report:
     while sum(staircase(m)) <= max_size:
         staircases.add(staircase(m))
         m += 1
-    specs = []
+    cases = []
     for lam in _sorted_partitions(max_size, min_size=0):
         expected = lam in staircases
         inputs = {"lam": format_partition(lam),
                   "expected_staircase": expected}
-
-        def thunk(lam=lam, expected=expected):
-            top = max(lam[0] if lam else 0, len(lam), 1)
-            first_bad = None
-            for k in range(1, top + 1):
-                h = set(_pieri_hstrips(lam, k))
-                v = set(_pieri_vstrips(lam, k))
-                if h != v:
-                    first_bad = (k, h, v)
-                    break
-            passes = first_bad is None
-            if passes == expected:
-                return (True, None, None)
-            w = {"passes_row_column_equality": passes}
+        top = max(lam[0] if lam else 0, len(lam), 1)
+        first_bad = None
+        for k in range(1, top + 1):
+            h = set(_pieri_hstrips(lam, k))
+            v = set(_pieri_vstrips(lam, k))
+            if h != v:
+                first_bad = (k, h, v)
+                break
+        passes = first_bad is None
+        witness = None
+        if passes != expected:
+            witness = {"passes_row_column_equality": passes}
             if first_bad:
                 k, h, v = first_bad
-                w.update({
+                witness.update({
                     "first_failing_k": k,
                     "horizontal_complements": sorted(map(list, h)),
                     "vertical_complements": sorted(map(list, v))})
-            return (False, w, None)
-
-        specs.append((inputs,
-                      "row/column skew equality holds iff lam is a staircase",
-                      thunk))
-    return Report("converse", _evaluate(specs))
+        cases.append(_case(inputs,
+                           "row/column skew equality holds iff lam is a "
+                           "staircase", witness))
+    return Report("converse", cases)
 
 
 # ---------------------------------------------------------------------------
@@ -709,38 +611,34 @@ def verify_multiply_oracle(pairs: int = 100, max_degree: int = 6,
         lam = rng.choice(list(partitions_of(d)) or [EMPTY])
         return rng.choice(tags), lam
 
-    specs = []
+    cases = []
     for i in range(pairs):
         t1, lam = random_element(max_degree)
         t2, mu = random_element(max_degree - sum(lam))
         inputs = {"case": i, "f": f"{t1}[{format_partition(lam)}]",
                   "g": f"{t2}[{format_partition(mu)}]"}
-
-        def thunk(t1=t1, lam=lam, t2=t2, mu=mu):
-            f = sf.basis_element(t1, lam, trunc)
-            g = sf.basis_element(t2, mu, trunc)
-            fast = sf.multiply(f, g)
-            dense: dict = {}
-            for ea, ca in _dense_monomials(f, nvars).items():
-                for eb, cb in _dense_monomials(g, nvars).items():
-                    key = tuple(x + y for x, y in zip(ea, eb))
-                    if sum(key) <= max_degree:
-                        dense[key] = dense.get(key, 0) + ca * cb
-            # the m coefficient at a partition is the coefficient of its
-            # weakly decreasing exponent vector
-            collected: dict = {}
-            for expo, c in dense.items():
-                if c and all(expo[i] >= expo[i + 1] for i in range(nvars - 1)):
-                    lam2 = expo
-                    while lam2 and lam2[-1] == 0:
-                        lam2 = lam2[:-1]
-                    collected[lam2] = c
-            w = _map_witness(fast.coeffs, collected)
-            return (w is None, w, None)
-
-        specs.append((inputs, "monomial product == dense polynomial product",
-                      thunk))
-    return Report("multiply-oracle", _evaluate(specs), _profile_dict(trunc))
+        f = sf.basis_element(t1, lam, trunc)
+        g = sf.basis_element(t2, mu, trunc)
+        fast = sf.multiply(f, g)
+        dense: dict = {}
+        dense_g = _dense_monomials(g, nvars)
+        for ea, ca in _dense_monomials(f, nvars).items():
+            for eb, cb in dense_g.items():
+                key = tuple(x + y for x, y in zip(ea, eb))
+                if sum(key) <= max_degree:
+                    dense[key] = dense.get(key, 0) + ca * cb
+        # the m coefficient at a partition is the coefficient of its
+        # weakly decreasing exponent vector
+        collected: dict = {}
+        for expo, c in dense.items():
+            if c and all(expo[j] >= expo[j + 1] for j in range(nvars - 1)):
+                lam2 = expo
+                while lam2 and lam2[-1] == 0:
+                    lam2 = lam2[:-1]
+                collected[lam2] = c
+        cases.append(_case(inputs, "monomial product == dense polynomial product",
+                           _map_witness(fast.coeffs, collected)))
+    return Report("multiply-oracle", cases, _profile_dict(trunc))
 
 
 SUITES = {
