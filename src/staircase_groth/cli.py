@@ -25,7 +25,6 @@ from . import grothendieck as gr
 from . import symfunc as sf
 from . import verify as vf
 from .shapes import (
-    SkewShape,
     format_partition,
     graded_lex_key,
     parse_partition,
@@ -45,16 +44,10 @@ _TARGETS = {"s": sf.m_to_schur, "g": gr.expand_in_g, "G": gr.expand_in_G,
             "e": sf.m_to_e, "h": sf.m_to_h}
 
 
-def _parse_partition_opt(text: str, option: str):
+def _parse_opt(parse, text: str, option: str):
+    """``parse(text)``, with its ValueError reported against ``option``."""
     try:
-        return parse_partition(text)
-    except ValueError as e:
-        raise UsageError(f"{option}: {e}") from None
-
-
-def _parse_skew_opt(text: str, option: str) -> SkewShape:
-    try:
-        return parse_skew(text)
+        return parse(text)
     except ValueError as e:
         raise UsageError(f"{option}: {e}") from None
 
@@ -90,19 +83,15 @@ def _emit(doc: dict, fmt: str, out) -> None:
     if fmt == "json":
         out.write(json.dumps(doc, indent=2) + "\n")
         return
-    if "coeffs" in doc:
-        basis = doc["basis"]
-        terms = [f"{basis}[{','.join(map(str, c['partition']))}]={c['coeff']}"
-                 for c in doc["coeffs"]]
-        out.write((" ".join(terms) if terms else "0") + "\n")
-        return
-    for key, val in doc.items():
-        out.write(f"{key}={json.dumps(val)}\n")
+    basis = doc["basis"]
+    terms = [f"{basis}[{','.join(map(str, c['partition']))}]={c['coeff']}"
+             for c in doc["coeffs"]]
+    out.write((" ".join(terms) if terms else "0") + "\n")
 
 
 def _polynomial(args) -> tuple:
     """The --kind polynomial of --shape and the --deg/--vars profile."""
-    shape = _parse_skew_opt(args.shape, "--shape")
+    shape = _parse_opt(parse_skew, args.shape, "--shape")
     trunc = _profile(args, shape.size())
     try:
         return _KINDS[args.kind](shape, trunc), trunc
@@ -112,13 +101,13 @@ def _polynomial(args) -> tuple:
 
 def _cmd_compute(args, out) -> int:
     if args.kind == "G-double":
-        shape = _parse_skew_opt(args.shape, "--shape")
+        shape = _parse_opt(parse_skew, args.shape, "--shape")
         if shape.inner:
             raise UsageError("--shape: G-double takes a straight outer shape; "
                              "pass the inner through --mu")
         if args.mu is None:
             raise UsageError("--mu: required for kind G-double")
-        mu = _parse_partition_opt(args.mu, "--mu")
+        mu = _parse_opt(parse_partition, args.mu, "--mu")
         trunc = _profile(args, sum(shape.outer))
         try:
             poly = gr.big_G_double(shape.outer, mu, trunc)
@@ -144,17 +133,17 @@ def _cmd_coeff(args, out) -> int:
     if args.family == "c":
         if args.nu is None or args.mu is None or args.target is None:
             raise UsageError("--nu/--mu/--target: all required for family c")
-        nu = _parse_partition_opt(args.nu, "--nu")
-        mu = _parse_partition_opt(args.mu, "--mu")
-        target = _parse_partition_opt(args.target, "--target")
+        nu = _parse_opt(parse_partition, args.nu, "--nu")
+        mu = _parse_opt(parse_partition, args.mu, "--mu")
+        target = _parse_opt(parse_partition, args.target, "--target")
         sc = gr.lr_coeff(nu, mu, target)
         inputs = {"nu": format_partition(nu), "mu": format_partition(mu),
                   "target": format_partition(target)}
     else:
         if args.shape is None or args.content is None:
             raise UsageError("--shape/--content: required for family alpha")
-        shape = _parse_skew_opt(args.shape, "--shape")
-        content = _parse_partition_opt(args.content, "--content")
+        shape = _parse_opt(parse_skew, args.shape, "--shape")
+        content = _parse_opt(parse_partition, args.content, "--content")
         sc = gr.alpha(shape, content)
         inputs = {"shape": str(shape), "content": format_partition(content)}
     doc = {

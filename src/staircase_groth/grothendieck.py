@@ -4,7 +4,9 @@ The three constructors share one convention: a polynomial is the content
 generating function of a tableau family over the shape, expressed in the
 monomial basis under a truncation profile.
 
-* ``schur``: semistandard tableaux; homogeneous of degree |shape|.
+* ``schur``: semistandard tableaux; homogeneous of degree |shape|.  Its
+  table is the Schur cache of ``symfunc`` (the skew Kostka rows), which
+  ``schur_to_m`` and ``m_to_schur`` read too.
 * ``dual_g``: reverse plane partitions, weighted per column; the top
   degree part equals the Schur polynomial.
 * ``big_G``: set-valued tableaux with sign (-1)^(|T| - |shape|); the
@@ -40,6 +42,7 @@ from .symfunc import (
     BasisExpansion,
     SymFunc,
     TruncationProfile,
+    _kostka_row,
     _multiset_splits,
     basis_element,
     m_to_h,
@@ -64,22 +67,13 @@ class SignedCount:
         return self.value if self.sign_exponent % 2 == 0 else -self.value
 
 
-@functools.cache
-def _schur_cached(outer: Partition, inner: Partition,
-                  trunc: TruncationProfile) -> SymFunc:
-    shape = SkewShape(outer, inner)
-    counts = tableaux.content_counts(shape, tableaux.SSYT,
-                                     num_vars=trunc.num_vars)
-    return SymFunc(dict(counts), trunc)
-
-
 def schur(shape: SkewShape, trunc: TruncationProfile) -> SymFunc:
     """Skew Schur polynomial s_{outer/inner}."""
     if shape.size() > trunc.max_degree:
         raise ValueError(
             f"degree overflow: |{shape}| = {shape.size()} exceeds "
             f"max_degree {trunc.max_degree}")
-    return _schur_cached(shape.outer, shape.inner, trunc)
+    return SymFunc(dict(_kostka_row(shape.outer, shape.inner)), trunc)
 
 
 @functools.cache
@@ -152,9 +146,9 @@ def lr_coeff(nu: Partition, mu: Partition, target: Partition) -> SignedCount:
 def alpha(shape: SkewShape, content: Partition) -> SignedCount:
     """Lattice count expanding a skew G polynomial in straight G's.
 
-    Read from the cached sweep over every content of size ``|content|``
-    (the one behind ``tableaux.lattice_counts``), so the contents of one
-    shape and size share a single search.
+    Read from the cached lattice sweep over every content of size
+    ``|content|`` (``tableaux._lattice_table`` with no content), so the
+    contents of one shape and size share a single search.
     """
     content = partition(content)
     value = len(tableaux._lattice_table(shape, sum(content), None)

@@ -132,10 +132,6 @@ class SkewShape:
             out.extend((r, c) for c in range(lo + 1, o + 1))
         return tuple(out)
 
-    def ncols(self) -> int:
-        """Number of distinct columns meeting the shape."""
-        return len({c for _, c in self.cells()})
-
     def __str__(self) -> str:
         return format_skew(self)
 

@@ -87,9 +87,6 @@ class SymFunc:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def support(self) -> list[Partition]:
-        return sorted(self.coeffs, key=graded_lex_key)
-
     def degrees(self) -> list[int]:
         return sorted({sum(k) for k in self.coeffs})
 
@@ -127,11 +124,6 @@ class SymFunc:
         if isinstance(other, int):
             return self.scale(other)
         return NotImplemented
-
-
-def add(f: SymFunc, g: SymFunc) -> SymFunc:
-    """Coefficientwise sum; profiles must match."""
-    return f + g
 
 
 def _distinct_arrangements(parts: Partition, length: int) -> Iterator[tuple[int, ...]]:
@@ -217,11 +209,19 @@ def basis_element(tag: str, lam: Partition, trunc: TruncationProfile) -> SymFunc
 
 
 @functools.cache
-def _kostka_row(lam: Partition) -> tuple[tuple[Partition, int], ...]:
-    """Nonzero Kostka numbers K_{lam, mu}: ssyt of shape lam, content mu."""
-    shape = SkewShape(lam, EMPTY)
-    counts = tableaux.content_counts(shape, tableaux.SSYT, num_vars=max(sum(lam), 1))
-    return tuple(sorted(counts.items(), key=lambda kv: graded_lex_key(kv[0])))
+def _kostka_row(outer: Partition, inner: Partition
+                ) -> tuple[tuple[Partition, int], ...]:
+    """Nonzero skew Kostka numbers K_{outer/inner, mu}, the ssyt of shape
+    outer/inner with content mu, in graded lex order of mu.
+
+    This is the one cache of Schur tables; straight shapes pass EMPTY.
+    No content has more parts than the shape has cells, so the row is the
+    same under every profile that holds the shape (num_vars >= max_degree
+    >= |shape|) and is not keyed by profile.
+    """
+    shape = SkewShape(outer, inner)
+    return tuple(tableaux.content_counts(
+        shape, tableaux.SSYT, num_vars=max(shape.size(), 1)).items())
 
 
 def schur_to_m(lam: Partition, trunc: TruncationProfile) -> SymFunc:
@@ -230,7 +230,7 @@ def schur_to_m(lam: Partition, trunc: TruncationProfile) -> SymFunc:
     if sum(lam) > trunc.max_degree:
         raise ValueError(
             f"degree overflow: |{lam}| exceeds max_degree {trunc.max_degree}")
-    return SymFunc(dict(_kostka_row(lam)), trunc)
+    return SymFunc(dict(_kostka_row(lam, EMPTY)), trunc)
 
 
 @dataclass(frozen=True)
@@ -245,9 +245,6 @@ class BasisExpansion:
         if self.basis not in BASES:
             raise ValueError(f"unknown basis {self.basis!r}; expected one of {BASES}")
         object.__setattr__(self, "coeffs", _clean(self.coeffs, self.trunc))
-
-    def support(self) -> list[Partition]:
-        return sorted(self.coeffs, key=graded_lex_key)
 
 
 def m_to_schur(f: SymFunc) -> BasisExpansion:
@@ -264,7 +261,7 @@ def m_to_schur(f: SymFunc) -> BasisExpansion:
             lam = max(sub)
             c = sub.pop(lam)
             out[lam] = c
-            for mu, k in _kostka_row(lam):
+            for mu, k in _kostka_row(lam, EMPTY):
                 if mu == lam:
                     continue
                 v = sub.get(mu, 0) - c * k

@@ -32,9 +32,9 @@ as the tuple of its cell sets, grouped by content.  Given a content it
 prunes by that content; given only the total size |T| it sweeps every
 content of that size at once.  Both are memoized in one cache of those
 fillings keyed by the caller's skew shape, so one search per shape and
-content (or size) serves every reader: ``count_lattice_fillings`` and
-``lattice_counts`` read how many fillings it holds, and
-``iter_lattice_fillings`` rebuilds them as ``SetFilling`` objects.
+content (or size) serves every reader: ``count_lattice_fillings`` (and
+``grothendieck.alpha``, from the sweep) read how many fillings it holds,
+and ``iter_lattice_fillings`` rebuilds them as ``SetFilling`` objects.
 """
 
 from __future__ import annotations
@@ -577,15 +577,6 @@ def _lattice_backtrack(shape: SkewShape, total: int, content: Partition | None
 def _lattice_table(shape: SkewShape, total: int, content: Partition | None
                    ) -> Mapping[Partition, list[tuple[Word, ...]]]:
     return MappingProxyType(_lattice_backtrack(shape, total, content))
-
-
-def lattice_counts(shape: SkewShape, total: int) -> Mapping[Partition, int]:
-    """Nonzero counts of the svt of the shape with |T| == total whose
-    reverse reading word is a lattice word, keyed by content: one sweep
-    over every content of that size, cached per shape and size.
-    """
-    return {c: len(leaves) for c, leaves in
-            _lattice_table(shape, total, None).items()}
 
 
 def count_lattice_fillings(shape: SkewShape, content: Partition) -> int:

@@ -34,6 +34,7 @@ from .shapes import (
     EMPTY,
     Partition,
     SkewShape,
+    classify_strip,
     conjugate,
     contains,
     format_partition,
@@ -137,8 +138,8 @@ def _check_n(n: int) -> None:
             f"staircase index must be in 1..{_MAX_SUITE_N}, got {n}")
 
 
-def _sorted_partitions(max_size: int, min_size: int = 0):
-    for s in range(min_size, max_size + 1):
+def _sorted_partitions(max_size: int):
+    for s in range(max_size + 1):
         yield from sorted(partitions_of(s), key=graded_lex_key)
 
 
@@ -320,29 +321,11 @@ def verify_alpha_recurrence(n: int = 4, k: int | None = None,
 
 
 def _pieri_hstrips(lam: Partition, k: int) -> list:
-    """All nu inside lam with lam/nu a horizontal strip of k cells."""
-    rows = len(lam)
-    target = sum(lam) - k
-    if target < 0:
-        return []
-    acc = []
-
-    def rec(i: int, total: int, cur: tuple) -> None:
-        if total > target:
-            return
-        if i == rows:
-            if total == target:
-                p = cur
-                while p and p[-1] == 0:
-                    p = p[:-1]
-                acc.append(p)
-            return
-        lo = lam[i + 1] if i + 1 < rows else 0
-        for v in range(lo, lam[i] + 1):
-            rec(i + 1, total + v, cur + (v,))
-
-    rec(0, 0, ())
-    return acc
+    """All nu inside lam with lam/nu a horizontal strip of k cells, in
+    ascending lex order."""
+    size = sum(lam) - k
+    return sorted(nu for nu in subpartitions(lam) if sum(nu) == size
+                  and classify_strip(SkewShape(lam, nu)).horizontal)
 
 
 def _pieri_vstrips(lam: Partition, k: int) -> list:
@@ -549,7 +532,7 @@ def converse_scan(max_size: int = 12) -> Report:
         staircases.add(staircase(m))
         m += 1
     cases = []
-    for lam in _sorted_partitions(max_size, min_size=0):
+    for lam in _sorted_partitions(max_size):
         expected = lam in staircases
         inputs = {"lam": format_partition(lam),
                   "expected_staircase": expected}

@@ -60,10 +60,12 @@ def test_compute_kinds():
 
 
 def test_compute_empty_result_prints_zero():
-    # one-column shape has no semistandard filling in a one-letter alphabet
-    code, out = cli("compute", "--kind", "s", "--shape", "1,1",
-                    "--vars", "2", "--deg", "2")
-    assert code == 0 and out.strip() == "m[1,1]=1"
+    # every term of G(2,1) has degree at least 3, so the cap 2 keeps none
+    code, out = cli("compute", "--kind", "G", "--shape", "2,1", "--deg", "2")
+    assert code == 0 and out == "0\n"
+    code, out = cli("compute", "--kind", "G", "--shape", "2,1", "--deg", "2",
+                    "--format", "json")
+    assert code == 0 and json.loads(out)["coeffs"] == []
 
 
 def test_expand_round_trips():

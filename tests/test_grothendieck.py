@@ -60,6 +60,24 @@ def test_schur_examples():
         SkewShape((2,), (3,))
 
 
+def test_schur_tables_share_one_cache():
+    # gr.schur, schur_to_m and m_to_schur read one table per shape, under
+    # any profile that holds it
+    sf._kostka_row.cache_clear()
+    lam = (3, 2, 1)
+    schur(straight(lam), TruncationProfile(6, 6))
+    sf.schur_to_m(lam, TruncationProfile(8, 9))
+    info = sf._kostka_row.cache_info()
+    assert (info.currsize, info.hits) == (1, 1)
+    shape = SkewShape((3, 2, 1), (2,))
+    low = schur(shape, TruncationProfile.for_degree(4))
+    high = schur(shape, TruncationProfile(7, 8))
+    assert low.trunc != high.trunc
+    # s_1 s_21 = s_31 + s_22 + s_211
+    assert low.coeffs == high.coeffs == {
+        (3, 1): 1, (2, 2): 2, (2, 1, 1): 4, (1, 1, 1, 1): 8}
+
+
 def test_dual_g_examples():
     p = TruncationProfile(3, 3)
     assert dual_g(SkewShape((2, 2), (1,)), p).coeffs == \

@@ -143,7 +143,6 @@ def test_skew_shape_validation():
     sh = SkewShape((2, 2), (1,))
     assert sh.size() == 3
     assert sh.cells() == ((1, 2), (2, 1), (2, 2))
-    assert sh.ncols() == 2
     assert SkewShape((2, 1), (2, 1)).size() == 0
 
 

@@ -7,7 +7,6 @@ from staircase_groth.symfunc import (
     BasisExpansion,
     SymFunc,
     TruncationProfile,
-    add,
     basis_element,
     hall_inner,
     m_to_e,
@@ -51,7 +50,7 @@ def test_profile_validation():
 
 def test_add():
     one = m((1,))
-    assert add(one, one).coeffs == {(1,): 2}
+    assert (one + one).coeffs == {(1,): 2}
     f = m((2,)) + m((1, 1)).scale(3)
     assert (f + SymFunc.zero(P6)).coeffs == f.coeffs
     assert (m((2,)) - m((2,))).is_zero()

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -7,6 +8,7 @@ from staircase_groth import grothendieck as gr
 from staircase_groth import symfunc as sf
 from staircase_groth import tableaux as tb
 from staircase_groth import verify as vf
+from staircase_groth.shapes import conjugate, partition, partitions_of
 from staircase_groth.symfunc import SymFunc, TruncationProfile
 
 
@@ -103,6 +105,26 @@ def test_basis_identities_pass():
     assert rep.passed
     with pytest.raises(ValueError):
         vf.verify_basis_identities(3, 2)
+
+
+def _interlacing_strips(lam, k):
+    """The nu with lam_{i+1} <= nu_i <= lam_i and |nu| = |lam| - k: the
+    complements of the horizontal k-strips of lam, in ascending lex order."""
+    bounds = [range(lam[i + 1] if i + 1 < len(lam) else 0, lam[i] + 1)
+              for i in range(len(lam))]
+    return sorted(partition(nu) for nu in itertools.product(*bounds)
+                  if sum(nu) == sum(lam) - k)
+
+
+def test_pieri_strips_match_interlacing():
+    for size in range(9):
+        for lam in partitions_of(size):
+            for k in range(size + 2):
+                assert vf._pieri_hstrips(lam, k) == \
+                    _interlacing_strips(lam, k), (lam, k)
+                assert vf._pieri_vstrips(lam, k) == [
+                    conjugate(nu) for nu in
+                    _interlacing_strips(conjugate(lam), k)], (lam, k)
 
 
 def test_hopf_pieces_selectable():
