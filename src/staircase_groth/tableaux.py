@@ -25,6 +25,18 @@ they are first used; a count's own DP state lives only as long as that
 count or sweep.  Caches are only ever extended with finished, idempotent
 values.
 
+The rpp and signed svt sweeps (behind ``dual_g`` and ``big_G``) of one
+outer shape share a second table: one backward walk from the top state,
+over the same transitions inverted, yields the coefficients of every
+inner shape at once.  The first sweep of a kind builds it, rooted at
+that sweep's inner shape (it covers only the inner shapes containing
+the root) and at that sweep's extra degree (budget minus cell count,
+always 0 for rpp).  Later sweeps whose inner shape contains the root and
+whose extra degree fits read it, filtered to their budget and number of
+variables; every other sweep, every ssyt and plain svt sweep, and
+``count_fillings`` walk forward from the inner shape.  The table is never
+rebuilt for a larger extra degree.
+
 Lattice fillings (svt whose reverse reading word is a lattice word) come
 from one backtracker over the cells in reading order that checks the
 lattice condition letter by letter and keeps every filling it reaches,
@@ -337,6 +349,15 @@ class _ChainTables:
     where the signed kind carries the sign of the open-cell events.  A row
     is built on first use and never changes afterwards; the DP state of a
     count lives in that count.
+
+    ``back[kind]`` holds, for rpp and signed svt, the coefficients of
+    outer/i for every state i at once, from one backward walk (see
+    ``_backward``).  It is built by the first sweep of that kind, rooted
+    at that sweep's inner shape, so it covers only the states containing
+    it, and at that sweep's extra degree (its budget minus its cell
+    count, always 0 for rpp).  A later sweep reads it when its inner shape
+    contains the root and its extra degree fits; every other sweep, and
+    every ssyt and plain svt sweep, walks forward from its inner shape.
     """
 
     def __init__(self, outer: Partition):
@@ -346,37 +367,54 @@ class _ChainTables:
         self.rows: dict[str, dict[int, dict[int, list]]] = {
             kind: {} for kind in (*KINDS, _SIGNED_SVT)}
         self.size: dict[int, int] = {}  # cells of the states svt rows reach
+        # kind -> (extra degree, coefficients by state, then by content)
+        self.back: dict[str, tuple[int, dict[int, dict[Partition, int]]]] = {}
 
     def code(self, p: Partition) -> int:
         return sum(x * self.base ** r for r, x in enumerate(p))
 
-    def _row(self, kind: str, i: int) -> dict[int, list]:
+    def _parts(self, i: int) -> Word:
         base = self.base
-        a = tuple(i // base ** r % base for r in range(len(self.outer)))
+        return tuple(i // base ** r % base for r in range(len(self.outer)))
+
+    def _edges(self, kind: str, i: int) -> Iterator[tuple[int, int, int]]:
+        """The transitions out of state i, as (end state, weight,
+        multiplier)."""
+        a = self._parts(i)
         cells = sum(a)
-        out: dict[int, list] = {}
         sign = -1 if kind == _SIGNED_SVT else 1
-        for j, _, w, free in _walk(a, self.outer, kind != RPP, base):
+        for j, _, w, free in _walk(a, self.outer, kind != RPP, self.base):
             if kind in _UNIT:
                 if w:
-                    out.setdefault(w, []).append(j)
+                    yield j, w, 1
                 continue
             self.size[j] = cells + w
             for k in range(not w, free + 1):
-                out.setdefault(w + k, []).append((j, comb(free, k) * sign ** k))
+                yield j, w + k, comb(free, k) * sign ** k
+
+    def _row(self, kind: str, i: int) -> dict[int, list]:
+        out: dict[int, list] = {}
+        unit = kind in _UNIT
+        for j, v, c in self._edges(kind, i):
+            out.setdefault(v, []).append(j if unit else (j, c))
         self.rows[kind][i] = out
         return out
 
-    def _step(self, kind: str, fwd: dict[int, int], v: int) -> dict[int, int]:
-        """Weighted states one part v beyond the states of ``fwd``."""
-        rows = self.rows[kind]
+    def _step(self, kind: str, fwd: dict[int, int], v: int,
+              rows: dict[int, dict[int, list]] | None = None) -> dict[int, int]:
+        """Weighted states one part v beyond the states of ``fwd``, over
+        the forward rows or the given ones (the backward walk's
+        predecessor lists, which hold every state)."""
+        if rows is None:
+            rows = self.rows[kind]
+        unit = kind in _UNIT
         nxt: dict[int, int] = {}
         get = nxt.get
         for i, n in fwd.items():
             row = rows.get(i)
             if row is None:
                 row = self._row(kind, i)
-            if kind in _UNIT:
+            if unit:
                 for j in row.get(v, ()):
                     nxt[j] = get(j, 0) + n
             else:
@@ -395,39 +433,108 @@ class _ChainTables:
         """Nonzero counts of every content with at most ``max_length``
         parts summing to at most ``budget``, in graded lex order.
 
-        Walks the contents as a prefix tree, so each prefix is one DP step
-        and a prefix no state survives ends its subtree.  The top state
-        has no transitions, so its count is taken out as it is reached.
-        An svt content needs at least one more value per unfinished cell,
-        so states with more unfinished cells than the rest of the budget
-        are dropped.
+        Rpp and signed svt sweeps read the backward table when it covers
+        them.  Otherwise this walks the contents as a prefix tree, so each
+        prefix is one DP step and a prefix no state survives ends its
+        subtree.  The top state has no transitions, so its count is taken
+        out as it is reached.  An svt content needs at least one more
+        value per unfinished cell, so states with more unfinished cells
+        than the rest of the budget are dropped.
         """
-        top = self.top
         cells = sum(self.outer)
+        if kind in (RPP, _SIGNED_SVT):
+            extra = budget - cells + sum(inner)
+            if kind not in self.back:
+                self.back[kind] = extra, self._backward(kind, inner, extra)
+            fits, table = self.back[kind]
+            coeffs = table.get(self.code(inner))
+            if coeffs is not None and extra <= fits:
+                # descending lex, then stably by size: graded lex order
+                keys = sorted((t for t in coeffs
+                               if len(t) <= max_length and sum(t) <= budget),
+                              reverse=True)
+                keys.sort(key=sum)
+                return {t: coeffs[t] for t in keys}
+        top = self.top
         size = self.size
         prune = kind not in _UNIT
         out: dict[Partition, int] = {}
-
-        def grow(prefix: Partition, fwd: dict[int, int], cap: int) -> None:
-            room = budget - sum(prefix)
-            for v in range(min(cap, room), 0, -1):
-                t = prefix + (v,)
-                nxt = self._step(kind, fwd, v)
-                c = nxt.pop(top, 0)
-                if c:
-                    out[t] = c
-                rest = min(room - v, v * (max_length - len(t)))
-                if prune:
-                    floor = cells - rest
-                    nxt = {j: c for j, c in nxt.items()
-                           if c and size[j] >= floor}
-                if nxt and rest:
-                    grow(t, nxt, v)
-
-        grow(EMPTY, {self.code(inner): 1}, budget)
+        # depth-first over the prefixes; a frame is [prefix, states, next
+        # part], and the parts of a content weakly decrease
+        stack = [[EMPTY, {self.code(inner): 1}, budget]]
+        while stack:
+            frame = stack[-1]
+            prefix, fwd, v = frame
+            if v < 1:
+                stack.pop()
+                continue
+            frame[2] = v - 1
+            t = prefix + (v,)
+            nxt = self._step(kind, fwd, v)
+            c = nxt.pop(top, 0)
+            if c:
+                out[t] = c
+            room = budget - sum(t)
+            rest = min(room, v * (max_length - len(t)))
+            if prune:
+                floor = cells - rest
+                nxt = {j: c for j, c in nxt.items() if c and size[j] >= floor}
+            if nxt and rest:
+                stack.append([t, nxt, min(v, room)])
         # the walk meets the contents of each size in descending lex order,
         # so a stable sort by size gives graded lex order
         return {t: out[t] for t in sorted(out, key=sum)}
+
+    def _backward(self, kind: str, root: Partition,
+                  extra: int) -> dict[int, dict[Partition, int]]:
+        """Coefficients of outer/i, by content, for every state i that
+        contains ``root``, up to contents of size |outer/i| + extra.
+
+        The transfer-matrix method (Stanley, EC1 4.7), run from the top
+        state: the transitions are inverted into predecessor lists, and
+        the contents are walked as a tree of suffixes whose parts weakly
+        increase, each suffix one DP step over the predecessors.  Counts
+        are symmetric in the content, so every live state i at a suffix
+        holds the coefficient of outer/i at that content.  Consumed parts
+        plus |i| never fall along the walk (a step adds at least one to
+        the content per cell it adds), so a state is dropped once they
+        exceed |outer| + extra.
+        """
+        unit = kind in _UNIT
+        cells = sum(self.outer)
+        limit = cells + extra
+        # every partition between root and outer, without the strip rule
+        states = [j for j, *_ in _walk(self._parts(self.code(root)),
+                                       self.outer, False, self.base)]
+        size = {i: sum(self._parts(i)) for i in states}
+        preds: dict[int, dict[int, list]] = {i: {} for i in states}
+        for i in states:
+            for j, v, c in self._edges(kind, i):
+                preds[j].setdefault(v, []).append(i if unit else (i, c))
+        table: dict[int, dict[Partition, int]] = {i: {} for i in states}
+        # no state is smaller than the root
+        room = limit - sum(root)
+        # depth-first over the suffixes; a frame is [content, states,
+        # consumed size, next part]
+        stack = [[EMPTY, {self.top: 1}, 0, 1]]
+        while stack:
+            frame = stack[-1]
+            content, bwd, used, v = frame
+            used += v
+            if used > room:
+                stack.pop()
+                continue
+            frame[3] = v + 1
+            nxt = self._step(kind, bwd, v, preds)
+            if not unit:
+                nxt = {i: c for i, c in nxt.items()
+                       if c and size[i] + used <= limit}
+            if nxt:
+                t = (v,) + content
+                for i, c in nxt.items():
+                    table[i][t] = c
+                stack.append([t, nxt, used, v])
+        return table
 
 
 _chain_cache: dict[Partition, _ChainTables] = {}

@@ -299,6 +299,13 @@ GOLDEN = (
     ("verify --suite stembridge-G",
      "dc094d4bf01977fd216de7d7434441b7ab1897c0799baca58815e6e5d8724f04",
      "7ff3625e9ac3813dd6fe2394940e328f06acdacb450b23fc5f2712ec898b6000"),
+    # the full n=6 sweeps, which read the backward chain tables
+    ("verify --suite stembridge-g --n 6",
+     "47325b2b312eb9df3d03042339ef39d26d5749ae0df848a80655977d25928651",
+     "ae9241836dde145c7fef5cc483ef134eab4b886d1fb053d53ed123f329b2dba6"),
+    ("verify --suite stembridge-G --n 6",
+     "3c46f4637f67a5ed4c4c56a1804673d7d4af7ad38f5812f0d348faf1cb9b42a1",
+     "457f4b4124a093cfb6b63d29aae968c64c48b9139cbbfec7d780f0702172dc08"),
     ("verify --suite stembridge-G --n 2 --extra-degrees 1",
      "343842e3ae72fe3850390a83c2c2392fc22150d7a2b857e2f22b5589c2e82988",
      "12d06c7f1c30b247599cf3fb81e59c4c5fbb6452783b997ba20c251675e528e3"),

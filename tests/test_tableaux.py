@@ -1,14 +1,16 @@
+import gc
 import itertools
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from staircase_groth import grothendieck as gr
 from staircase_groth import tableaux as tb
 from staircase_groth.shapes import (
     EMPTY,
     SkewShape,
+    contains,
     graded_lex_key,
     partitions_of,
     staircase,
@@ -278,6 +280,80 @@ def test_chain_sweeps_match_stream_cold_and_warm(shape, m):
     assert cold == warm == stream_counts(shape, m)
     for counts in cold:
         assert list(counts) == sorted(counts, key=graded_lex_key)
+
+
+# what built the backward table of the outer shape before the request
+TABLE_SITUATIONS = ("cold", "warm", "smaller extra", "other root")
+
+
+@pytest.mark.parametrize("situation", TABLE_SITUATIONS)
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.sampled_from([s for s in SMALL_SHAPES if s.size()]),
+       st.integers(min_value=1, max_value=3), st.data())
+def test_backward_tables_match_stream(situation, shape, m, data):
+    # the request has extra degree 2; "warm" builds the table first from an
+    # inner shape inside the request's at extra 2 or 3, "smaller extra" at
+    # 0 or 1 (signed svt falls back), "other root" from an inner shape
+    # outside the request's (both kinds fall back)
+    outer, inner = shape.outer, shape.inner
+    if situation == "other root":
+        roots = [p for p in subpartitions(outer)
+                 if p != outer and not contains(inner, p)]
+    else:
+        roots = list(subpartitions(inner))
+    assume(roots)
+    root = inner if situation == "cold" else data.draw(st.sampled_from(roots))
+    extra = data.draw(st.integers(*{"cold": (2, 2), "warm": (2, 3),
+                                    "smaller extra": (0, 1),
+                                    "other root": (0, 3)}[situation]))
+    tb._chain_cache.clear()
+    if situation != "cold":
+        first = SkewShape(outer, root)
+        nv = data.draw(st.integers(min_value=1, max_value=3))
+        tb.content_counts(first, RPP, num_vars=nv)
+        tb.signed_svt_counts(first, num_vars=nv,
+                             max_total_size=first.size() + extra)
+    cap = shape.size() + 2
+
+    def counts(nv):
+        return (tb.content_counts(shape, RPP, num_vars=nv),
+                tb.signed_svt_counts(shape, num_vars=nv, max_total_size=cap))
+
+    assert counts(m) == (partition_content_counter(shape, RPP, m),
+                         signed_content_counter(shape, m, cap))
+    # contents of every length: as from a table built by this request
+    full = counts(cap)
+    tables = tb._chain_cache[outer]
+    code = tables.code(inner)
+    fits, table = tables.back[tb._SIGNED_SVT]
+    assert fits == extra
+    assert (code in tables.back[RPP][1]) == (situation != "other root")
+    assert (code in table and fits >= 2) == (situation in ("cold", "warm"))
+    if code in table:
+        # the table holds no content past its extra degree
+        assert max(map(sum, table[code])) <= shape.size() + fits
+    tb._chain_cache.clear()
+    assert full == counts(cap)
+
+
+def test_cold_sweeps_leave_no_cyclic_garbage():
+    # no walk is a reference cycle, so a sweep's dicts die with it
+    shape = SkewShape((4, 3, 2, 1), (1,))
+    sweeps = (lambda: tb.content_counts(shape, RPP, num_vars=9),
+              lambda: tb.signed_svt_counts(shape, num_vars=11,
+                                           max_total_size=11),
+              lambda: tb.content_counts(shape, SSYT, num_vars=9),
+              lambda: tb.content_counts(shape, SVT, num_vars=3,
+                                        max_total_size=11))
+    for sweep in sweeps:
+        tb._chain_cache.clear()
+        gc.collect()
+        gc.disable()
+        try:
+            sweep()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
