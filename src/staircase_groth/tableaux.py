@@ -19,23 +19,19 @@ deterministic order.  ``count_fillings``, ``content_counts`` and
 ``signed_svt_counts`` count fillings with an exact content vector, for
 all three families, by one chain decomposition (the region holding
 values <= i grows through a nested sequence of partitions), which must
-agree with filtering the naive stream and is tested to.  The chain
-transitions are cached per outer shape and per process, row by row as
-they are first used; a count's own DP state lives only as long as that
-count or sweep.  Caches are only ever extended with finished, idempotent
-values.
+agree with filtering the naive stream and is tested to.
 
-The rpp and signed svt sweeps (behind ``dual_g`` and ``big_G``) of one
-outer shape share a second table: one backward walk from the top state,
-over the same transitions inverted, yields the coefficients of every
-inner shape at once.  The first sweep of a kind builds it, rooted at
-that sweep's inner shape (it covers only the inner shapes containing
-the root) and at that sweep's extra degree (budget minus cell count,
-always 0 for rpp).  Later sweeps whose inner shape contains the root and
-whose extra degree fits read it, filtered to their budget and number of
-variables; every other sweep, every ssyt and plain svt sweep, and
-``count_fillings`` walk forward from the inner shape.  The table is never
-rebuilt for a larger extra degree.
+Every such count reads one table per outer shape and kind, cached per
+process: one backward walk from the top state, over the chain
+transitions inverted, yields the coefficients of every inner shape
+containing the table's root at once, up to its extra degree (the
+content size past the cell count; always 0 for ssyt and rpp, whose
+tables hold every content).  The first request of a kind builds it at
+its own inner shape and extra degree.  A request the table does not
+cover rebuilds it once, rooted at the meet of the old root and the
+request's inner shape and at the larger extra degree, so a table only
+ever grows to cover more requests.  Caches are only ever extended or
+replaced with finished, idempotent values.
 
 Lattice fillings (svt whose reverse reading word is a lattice word) come
 from one backtracker over the cells in reading order that checks the
@@ -338,37 +334,32 @@ _UNIT = (SSYT, RPP)  # kinds whose transitions all have multiplier 1
 
 
 class _ChainTables:
-    """Chain transitions of every skew shape with one outer shape.
+    """Exact-content counts of every skew shape with one outer shape.
 
     A state is a partition sigma inside ``outer``, coded as the sum of
     sigma[r] * base**r; the chains of outer/inner run from the code of
     inner to the code of outer.  What leaves a state does not depend on
-    the inner shape, so all shapes with this outer share one table.
-    ``rows[kind][i]`` maps a weight to the transitions out of state i:
-    end states for ssyt and rpp, (end state, multiplier) pairs for svt,
-    where the signed kind carries the sign of the open-cell events.  A row
-    is built on first use and never changes afterwards; the DP state of a
-    count lives in that count.
+    the inner shape, so all shapes with this outer share one table per
+    kind (ssyt, rpp, plain svt, and signed svt, whose transitions carry
+    the sign of the open-cell events).
 
-    ``back[kind]`` holds, for rpp and signed svt, the coefficients of
-    outer/i for every state i at once, from one backward walk (see
-    ``_backward``).  It is built by the first sweep of that kind, rooted
-    at that sweep's inner shape, so it covers only the states containing
-    it, and at that sweep's extra degree (its budget minus its cell
-    count, always 0 for rpp).  A later sweep reads it when its inner shape
-    contains the root and its extra degree fits; every other sweep, and
-    every ssyt and plain svt sweep, walks forward from its inner shape.
+    ``back[kind]`` is (root, extra degree, table), where ``table[i]``
+    maps each content to the count of outer/i, for every state i that
+    contains the root, up to contents of size |outer/i| + extra (see
+    ``_backward``).  Every request reads it through ``coeffs``.  A request
+    it does not cover, because its inner shape does not contain the root
+    or its extra degree is larger, rebuilds it once: rooted at the meet
+    of the old root and the request's inner shape, at the larger of the
+    two extra degrees.  The extra degree is always 0 for ssyt and rpp,
+    whose tables hold every content.
     """
 
     def __init__(self, outer: Partition):
         self.outer = outer
         self.base = outer[0] + 1 if outer else 1
         self.top = self.code(outer)
-        self.rows: dict[str, dict[int, dict[int, list]]] = {
-            kind: {} for kind in (*KINDS, _SIGNED_SVT)}
-        self.size: dict[int, int] = {}  # cells of the states svt rows reach
-        # kind -> (extra degree, coefficients by state, then by content)
-        self.back: dict[str, tuple[int, dict[int, dict[Partition, int]]]] = {}
+        self.back: dict[str, tuple[Partition, int,
+                                   dict[int, dict[Partition, int]]]] = {}
 
     def code(self, p: Partition) -> int:
         return sum(x * self.base ** r for r, x in enumerate(p))
@@ -380,40 +371,25 @@ class _ChainTables:
     def _edges(self, kind: str, i: int) -> Iterator[tuple[int, int, int]]:
         """The transitions out of state i, as (end state, weight,
         multiplier)."""
-        a = self._parts(i)
-        cells = sum(a)
         sign = -1 if kind == _SIGNED_SVT else 1
-        for j, _, w, free in _walk(a, self.outer, kind != RPP, self.base):
+        for j, _, w, free in _walk(self._parts(i), self.outer, kind != RPP,
+                                   self.base):
             if kind in _UNIT:
                 if w:
                     yield j, w, 1
                 continue
-            self.size[j] = cells + w
             for k in range(not w, free + 1):
                 yield j, w + k, comb(free, k) * sign ** k
 
-    def _row(self, kind: str, i: int) -> dict[int, list]:
-        out: dict[int, list] = {}
-        unit = kind in _UNIT
-        for j, v, c in self._edges(kind, i):
-            out.setdefault(v, []).append(j if unit else (j, c))
-        self.rows[kind][i] = out
-        return out
-
-    def _step(self, kind: str, fwd: dict[int, int], v: int,
-              rows: dict[int, dict[int, list]] | None = None) -> dict[int, int]:
-        """Weighted states one part v beyond the states of ``fwd``, over
-        the forward rows or the given ones (the backward walk's
-        predecessor lists, which hold every state)."""
-        if rows is None:
-            rows = self.rows[kind]
+    def _step(self, kind: str, live: dict[int, int], v: int,
+              rows: dict[int, dict[int, list]]) -> dict[int, int]:
+        """Weighted states one part v away from the states of ``live``,
+        over the given transitions by weight."""
         unit = kind in _UNIT
         nxt: dict[int, int] = {}
         get = nxt.get
-        for i, n in fwd.items():
-            row = rows.get(i)
-            if row is None:
-                row = self._row(kind, i)
+        for i, n in live.items():
+            row = rows[i]
             if unit:
                 for j in row.get(v, ()):
                     nxt[j] = get(j, 0) + n
@@ -422,68 +398,37 @@ class _ChainTables:
                     nxt[j] = get(j, 0) + n * c
         return nxt
 
+    def coeffs(self, kind: str, inner: Partition,
+               size: int) -> dict[Partition, int]:
+        """Counts of outer/inner by content, holding at least the contents
+        of size at most ``size`` (for ssyt and rpp, every content)."""
+        code = self.code(inner)
+        extra = 0 if kind in _UNIT else size - sum(self.outer) + sum(inner)
+        # the table holds exactly the states containing its root; with no
+        # table yet, the empty one covers nothing and the request roots it
+        root, fits, table = self.back.get(kind, (inner, extra, {}))
+        if code not in table or extra > fits:
+            # the meet: the largest partition inside both
+            root = tuple(map(min, root, inner))
+            fits = max(fits, extra)
+            table = self._backward(kind, root, fits)
+            self.back[kind] = root, fits, table
+        return table[code]
+
     def count(self, kind: str, inner: Partition, content: Partition) -> int:
-        fwd = {self.code(inner): 1}
-        for v in content:
-            fwd = self._step(kind, fwd, v)
-        return fwd.get(self.top, 0)
+        return self.coeffs(kind, inner, sum(content)).get(content, 0)
 
     def sweep(self, kind: str, inner: Partition, max_length: int,
               budget: int) -> dict[Partition, int]:
         """Nonzero counts of every content with at most ``max_length``
-        parts summing to at most ``budget``, in graded lex order.
-
-        Rpp and signed svt sweeps read the backward table when it covers
-        them.  Otherwise this walks the contents as a prefix tree, so each
-        prefix is one DP step and a prefix no state survives ends its
-        subtree.  The top state has no transitions, so its count is taken
-        out as it is reached.  An svt content needs at least one more
-        value per unfinished cell, so states with more unfinished cells
-        than the rest of the budget are dropped.
-        """
-        cells = sum(self.outer)
-        if kind in (RPP, _SIGNED_SVT):
-            extra = budget - cells + sum(inner)
-            if kind not in self.back:
-                self.back[kind] = extra, self._backward(kind, inner, extra)
-            fits, table = self.back[kind]
-            coeffs = table.get(self.code(inner))
-            if coeffs is not None and extra <= fits:
-                # descending lex, then stably by size: graded lex order
-                keys = sorted((t for t in coeffs
-                               if len(t) <= max_length and sum(t) <= budget),
-                              reverse=True)
-                keys.sort(key=sum)
-                return {t: coeffs[t] for t in keys}
-        top = self.top
-        size = self.size
-        prune = kind not in _UNIT
-        out: dict[Partition, int] = {}
-        # depth-first over the prefixes; a frame is [prefix, states, next
-        # part], and the parts of a content weakly decrease
-        stack = [[EMPTY, {self.code(inner): 1}, budget]]
-        while stack:
-            frame = stack[-1]
-            prefix, fwd, v = frame
-            if v < 1:
-                stack.pop()
-                continue
-            frame[2] = v - 1
-            t = prefix + (v,)
-            nxt = self._step(kind, fwd, v)
-            c = nxt.pop(top, 0)
-            if c:
-                out[t] = c
-            room = budget - sum(t)
-            rest = min(room, v * (max_length - len(t)))
-            if prune:
-                floor = cells - rest
-                nxt = {j: c for j, c in nxt.items() if c and size[j] >= floor}
-            if nxt and rest:
-                stack.append([t, nxt, min(v, room)])
-        # the walk meets the contents of each size in descending lex order,
-        # so a stable sort by size gives graded lex order
-        return {t: out[t] for t in sorted(out, key=sum)}
+        parts summing to at most ``budget``, in graded lex order."""
+        coeffs = self.coeffs(kind, inner, budget)
+        # descending lex, then stably by size: graded lex order
+        keys = sorted((t for t in coeffs
+                       if len(t) <= max_length and sum(t) <= budget),
+                      reverse=True)
+        keys.sort(key=sum)
+        return {t: coeffs[t] for t in keys}
 
     def _backward(self, kind: str, root: Partition,
                   extra: int) -> dict[int, dict[Partition, int]]:
@@ -501,8 +446,7 @@ class _ChainTables:
         exceed |outer| + extra.
         """
         unit = kind in _UNIT
-        cells = sum(self.outer)
-        limit = cells + extra
+        limit = sum(self.outer) + extra
         # every partition between root and outer, without the strip rule
         states = [j for j, *_ in _walk(self._parts(self.code(root)),
                                        self.outer, False, self.base)]
@@ -512,6 +456,7 @@ class _ChainTables:
             for j, v, c in self._edges(kind, i):
                 preds[j].setdefault(v, []).append(i if unit else (i, c))
         table: dict[int, dict[Partition, int]] = {i: {} for i in states}
+        table[self.top] = {EMPTY: 1}
         # no state is smaller than the root
         room = limit - sum(root)
         # depth-first over the suffixes; a frame is [content, states,
@@ -552,11 +497,13 @@ def count_fillings(shape: SkewShape, kind: str, content: Partition,
     """Number of valid fillings whose content vector equals ``content``.
 
     The content is a partition; contents with internal zeros cannot be
-    monomial-basis keys and are not supported here.
+    monomial-basis keys and are not supported here.  ``max_total_size``
+    bounds |T|: the cell count for ssyt and rpp, the content size for svt.
     """
     _check_kind(kind)
     content = partition(content)
-    if max_total_size is not None and sum(content) > max_total_size:
+    total = sum(content) if kind == SVT else shape.size()
+    if max_total_size is not None and total > max_total_size:
         return 0
     return _chain(shape.outer).count(kind, shape.inner, content)
 
@@ -566,13 +513,14 @@ def content_counts(shape: SkewShape, kind: str, *, num_vars: int,
     """All nonzero exact-content counts, keyed by content partition.
 
     Contents are restricted to at most ``num_vars`` parts (values drawn
-    from {1..num_vars}); for svt, ``max_total_size`` bounds |T| and
-    defaults to the natural alphabet bound.
+    from {1..num_vars}).  ``max_total_size`` bounds |T|: the cell count
+    for ssyt and rpp, the content size for svt, where it defaults to the
+    natural alphabet bound.
     """
     _check_kind(kind)
     n = shape.size()
-    if n == 0:
-        return {EMPTY: 1}
+    if max_total_size is not None and max_total_size < n:
+        return {}
     budget = n
     if kind == SVT:
         budget = n * num_vars
@@ -589,8 +537,6 @@ def signed_svt_counts(shape: SkewShape, *, num_vars: int,
     Computed by the signed chain tables; must agree with (and is tested
     against) signing the plain counts from the naive stream.
     """
-    if shape.size() == 0:
-        return {EMPTY: 1}
     return _chain(shape.outer).sweep(_SIGNED_SVT, shape.inner, num_vars,
                                      max_total_size)
 

@@ -34,7 +34,6 @@ from .shapes import (
     EMPTY,
     Partition,
     SkewShape,
-    classify_strip,
     conjugate,
     contains,
     format_partition,
@@ -322,10 +321,12 @@ def verify_alpha_recurrence(n: int = 4, k: int | None = None,
 
 def _pieri_hstrips(lam: Partition, k: int) -> list:
     """All nu inside lam with lam/nu a horizontal strip of k cells, in
-    ascending lex order."""
+    ascending lex order: the nu interlacing lam, lam[i+1] <= nu[i] <=
+    lam[i], of size |lam| - k."""
     size = sum(lam) - k
-    return sorted(nu for nu in subpartitions(lam) if sum(nu) == size
-                  and classify_strip(SkewShape(lam, nu)).horizontal)
+    bounds = [range(low, high + 1) for high, low in zip(lam, lam[1:] + (0,))]
+    return sorted(tuple(x for x in nu if x)
+                  for nu in itertools.product(*bounds) if sum(nu) == size)
 
 
 def _pieri_vstrips(lam: Partition, k: int) -> list:

@@ -260,12 +260,24 @@ def stream_counts(shape, m):
             signed_content_counter(shape, m, cap))
 
 
+def engine_requests(shape, m, extra=2):
+    """The four sweeps, as (table kind, request extra degree, call); the
+    svt sweeps are capped at |shape| + extra, and plain svt also at m
+    values per cell."""
+    n = shape.size()
+    cap = n + extra
+    return ((SSYT, 0, lambda: tb.content_counts(shape, SSYT, num_vars=m)),
+            (RPP, 0, lambda: tb.content_counts(shape, RPP, num_vars=m)),
+            (SVT, min(n * m, cap) - n,
+             lambda: tb.content_counts(shape, SVT, num_vars=m,
+                                       max_total_size=cap)),
+            (tb._SIGNED_SVT, extra,
+             lambda: tb.signed_svt_counts(shape, num_vars=m,
+                                          max_total_size=cap)))
+
+
 def engine_counts(shape, m):
-    cap = shape.size() + 2
-    return (tb.content_counts(shape, SSYT, num_vars=m),
-            tb.content_counts(shape, RPP, num_vars=m),
-            tb.content_counts(shape, SVT, num_vars=m, max_total_size=cap),
-            tb.signed_svt_counts(shape, num_vars=m, max_total_size=cap))
+    return tuple(call() for _, _, call in engine_requests(shape, m))
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -273,7 +285,7 @@ def engine_counts(shape, m):
 def test_chain_sweeps_match_stream_cold_and_warm(shape, m):
     tb._chain_cache.clear()
     cold = engine_counts(shape, m)
-    # warm: the rows were built by the straight shape with the same outer
+    # warm: the tables were built by the straight shape with the same outer
     tb._chain_cache.clear()
     engine_counts(SkewShape(shape.outer, EMPTY), m)
     warm = engine_counts(shape, m)
@@ -282,7 +294,13 @@ def test_chain_sweeps_match_stream_cold_and_warm(shape, m):
         assert list(counts) == sorted(counts, key=graded_lex_key)
 
 
-# what built the backward table of the outer shape before the request
+def meet(a, b):
+    """Componentwise minimum of two partitions."""
+    parts = (min(x, y) for x, y in itertools.zip_longest(a, b, fillvalue=0))
+    return tuple(x for x in parts if x)
+
+
+# what built the tables of the outer shape before the request
 TABLE_SITUATIONS = ("cold", "warm", "smaller extra", "other root")
 
 
@@ -291,10 +309,13 @@ TABLE_SITUATIONS = ("cold", "warm", "smaller extra", "other root")
 @given(st.sampled_from([s for s in SMALL_SHAPES if s.size()]),
        st.integers(min_value=1, max_value=3), st.data())
 def test_backward_tables_match_stream(situation, shape, m, data):
-    # the request has extra degree 2; "warm" builds the table first from an
-    # inner shape inside the request's at extra 2 or 3, "smaller extra" at
-    # 0 or 1 (signed svt falls back), "other root" from an inner shape
-    # outside the request's (both kinds fall back)
+    # the request has extra degree 2 for signed svt (plain svt: at most 2)
+    # and 0 for ssyt and rpp; "warm" builds every table first from an inner
+    # shape inside the request's at extra up to 2 or 3, "smaller extra" at
+    # 0 or 1 (the signed svt table rebuilds, and the plain one where the
+    # request reaches further), "other root" from an inner shape
+    # outside the request's (every table rebuilds at the meet of the two
+    # inner shapes)
     outer, inner = shape.outer, shape.inner
     if situation == "other root":
         roots = [p for p in subpartitions(outer)
@@ -307,44 +328,53 @@ def test_backward_tables_match_stream(situation, shape, m, data):
                                     "smaller extra": (0, 1),
                                     "other root": (0, 3)}[situation]))
     tb._chain_cache.clear()
+    first = {}  # table kind -> extra degree of the first request
     if situation != "cold":
-        first = SkewShape(outer, root)
         nv = data.draw(st.integers(min_value=1, max_value=3))
-        tb.content_counts(first, RPP, num_vars=nv)
-        tb.signed_svt_counts(first, num_vars=nv,
-                             max_total_size=first.size() + extra)
-    cap = shape.size() + 2
-
-    def counts(nv):
-        return (tb.content_counts(shape, RPP, num_vars=nv),
-                tb.signed_svt_counts(shape, num_vars=nv, max_total_size=cap))
-
-    assert counts(m) == (partition_content_counter(shape, RPP, m),
-                         signed_content_counter(shape, m, cap))
-    # contents of every length: as from a table built by this request
-    full = counts(cap)
-    tables = tb._chain_cache[outer]
-    code = tables.code(inner)
-    fits, table = tables.back[tb._SIGNED_SVT]
-    assert fits == extra
-    assert (code in tables.back[RPP][1]) == (situation != "other root")
-    assert (code in table and fits >= 2) == (situation in ("cold", "warm"))
-    if code in table:
+        for kind, want, call in engine_requests(SkewShape(outer, root), nv,
+                                                extra):
+            call()
+            first[kind] = want
+    for (kind, want, call), expected in zip(engine_requests(shape, m),
+                                            stream_counts(shape, m)):
+        assert call() == expected, kind
+        tables = tb._chain_cache[outer]
+        code = tables.code(inner)
+        got_root, fits, table = tables.back[kind]
+        # the table covers the request, rooted at the meet of both inner
+        # shapes and at the larger extra degree
+        assert contains(inner, got_root) and fits >= want
+        assert got_root == meet(root, inner)
+        assert fits == max(first.get(kind, want), want)
         # the table holds no content past its extra degree
         assert max(map(sum, table[code])) <= shape.size() + fits
+    # contents of every length: as from tables built by this request
+    cap = shape.size() + 2
+    full = [call() for _, _, call in engine_requests(shape, cap)]
     tb._chain_cache.clear()
-    assert full == counts(cap)
+    assert full == [call() for _, _, call in engine_requests(shape, cap)]
 
 
 def test_cold_sweeps_leave_no_cyclic_garbage():
     # no walk is a reference cycle, so a sweep's dicts die with it
     shape = SkewShape((4, 3, 2, 1), (1,))
+
+    def rebuild():
+        # the straight shape lies outside the table's root, and its extra
+        # degree is larger, so its sweep replaces the table
+        tb.signed_svt_counts(shape, num_vars=11, max_total_size=10)
+        tb.signed_svt_counts(SkewShape(shape.outer, EMPTY), num_vars=11,
+                             max_total_size=12)
+        assert tb._chain_cache[shape.outer].back[tb._SIGNED_SVT][:2] == (
+            EMPTY, 2)
+
     sweeps = (lambda: tb.content_counts(shape, RPP, num_vars=9),
               lambda: tb.signed_svt_counts(shape, num_vars=11,
                                            max_total_size=11),
               lambda: tb.content_counts(shape, SSYT, num_vars=9),
               lambda: tb.content_counts(shape, SVT, num_vars=3,
-                                        max_total_size=11))
+                                        max_total_size=11),
+              rebuild)
     for sweep in sweeps:
         tb._chain_cache.clear()
         gc.collect()
@@ -359,18 +389,24 @@ def test_cold_sweeps_leave_no_cyclic_garbage():
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(st.sampled_from(SMALL_SHAPES), st.integers(min_value=1, max_value=3))
 def test_single_counts_match_stream(shape, m):
-    # count_fillings alone, from a cold cache: one DP, no sweep around it
+    # count_fillings alone, from a cold cache, with |T| capped for every
+    # kind: at |shape| + 2, and below the cell count, where none fits
     tb._chain_cache.clear()
     cap = shape.size() + 2
+    low = shape.size() - 1
     expected = dict(zip((SSYT, RPP, SVT), stream_counts(shape, m)))
     contents = [t for s in range(cap + 2)
                 for t in partitions_of(s, max_length=m)]
     for kind, counts in expected.items():
-        limit = cap if kind == SVT else None
         for t in contents:
             want = counts.get(t, 0) if sum(t) <= cap else 0
             assert tb.count_fillings(shape, kind, t,
-                                     max_total_size=limit) == want, (kind, t)
+                                     max_total_size=cap) == want, (kind, t)
+            assert tb.count_fillings(shape, kind, t,
+                                     max_total_size=low) == 0, (kind, t)
+        assert tb.content_counts(shape, kind, num_vars=m,
+                                 max_total_size=low) == \
+            partition_content_counter(shape, kind, m, low) == {}
 
 
 def test_empty_shape_counts():
