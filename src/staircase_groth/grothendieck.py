@@ -18,7 +18,8 @@ products and skews in the G basis, the unitriangular expansions into the
 g and G bases, the conjugation involutions on those bases, and the
 skewing operator (the Hall adjoint of multiplication), computed by the
 duality of the h and m bases: the operator's h-expansion pairs against
-the multiset splits of its argument's monomial keys.
+the splits of its argument's monomial keys, read from the groups of the
+sizes that h-expansion has.
 """
 
 from __future__ import annotations
@@ -252,15 +253,22 @@ def skew_by(f: BasisExpansion, a: SymFunc) -> SymFunc:
     The h and m bases are dual under the Hall inner product, so writing
     f = sum_gamma c_gamma h_gamma gives the coefficient of m_beta in the
     result as sum_gamma c_gamma [m_{gamma u beta}] a, where gamma u beta
-    is the multiset union of parts.  f is realized at a's profile, so a
-    G-basis f is truncated there.  Satisfies the adjunction
-    <g, skew_by(f, a)> = <f g, a>.
+    is the multiset union of parts.  Only the splits whose gamma has the
+    size of a key of the h-expansion fh can meet one, so each monomial key
+    of a reads the groups of the sizes fh has, smallest first, up to its
+    own size.  f is realized at a's profile, so a G-basis f is truncated
+    there.  Satisfies the adjunction <g, skew_by(f, a)> = <f g, a>.
     """
     fh = m_to_h(expansion_to_symfunc(f, a.trunc)).coeffs
+    sizes = sorted({sum(gamma) for gamma in fh})
     out: dict[Partition, int] = {}
     for lam, c in a.coeffs.items():
-        for gamma, beta in _multiset_splits(lam):
-            k = fh.get(gamma)
-            if k:
-                out[beta] = out.get(beta, 0) + k * c
+        groups = _multiset_splits(lam)
+        for d in sizes:
+            if d >= len(groups):
+                break
+            for gamma, beta in groups[d]:
+                k = fh.get(gamma)
+                if k:
+                    out[beta] = out.get(beta, 0) + k * c
     return SymFunc(out, a.trunc)

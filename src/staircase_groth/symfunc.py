@@ -17,7 +17,9 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import chain
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 from . import tableaux
 from .shapes import (
@@ -288,21 +290,26 @@ def hall_inner(f: BasisExpansion, g: BasisExpansion) -> int:
 
 
 @functools.cache
-def _multiset_splits(lam: Partition) -> tuple[tuple[Partition, Partition], ...]:
-    """All ways to split the parts of lam into two sub-multisets."""
+def _multiset_splits(lam: Partition
+                     ) -> tuple[tuple[tuple[Partition, Partition], ...], ...]:
+    """All ways to split the parts of lam into two sub-multisets
+    (gamma, beta), grouped by size: entry d holds those with |gamma| = d,
+    for d = 0..|lam|."""
     items = sorted(Counter(lam).items(), reverse=True)
-    acc: list[tuple[Partition, Partition]] = []
+    groups: list[list[tuple[Partition, Partition]]] = [
+        [] for _ in range(sum(lam) + 1)]
 
-    def rec(i: int, a: tuple[int, ...], b: tuple[int, ...]) -> None:
+    def rec(i: int, a: tuple[int, ...], b: tuple[int, ...], size: int) -> None:
         if i == len(items):
-            acc.append((a, b))
+            groups[size].append((a, b))
             return
         v, mult = items[i]
         for take in range(mult + 1):
-            rec(i + 1, a + (v,) * take, b + (v,) * (mult - take))
+            rec(i + 1, a + (v,) * take, b + (v,) * (mult - take),
+                size + v * take)
 
-    rec(0, EMPTY, EMPTY)
-    return tuple(acc)
+    rec(0, EMPTY, EMPTY, 0)
+    return tuple(map(tuple, groups))
 
 
 def split_alphabets(f: SymFunc, a: int, b: int) -> dict:
@@ -314,7 +321,7 @@ def split_alphabets(f: SymFunc, a: int, b: int) -> dict:
     """
     out: dict[tuple[Partition, Partition], int] = {}
     for lam, c in f.coeffs.items():
-        for alpha, beta in _multiset_splits(lam):
+        for alpha, beta in chain.from_iterable(_multiset_splits(lam)):
             if len(alpha) <= a and len(beta) <= b:
                 key = (alpha, beta)
                 out[key] = out.get(key, 0) + c
@@ -322,23 +329,32 @@ def split_alphabets(f: SymFunc, a: int, b: int) -> dict:
 
 
 @functools.cache
-def _inverse_kostka_row(lam: Partition) -> tuple[tuple[Partition, int], ...]:
-    """Schur expansion of the single monomial function m_lam."""
-    trunc = TruncationProfile.for_degree(sum(lam))
-    exp = m_to_schur(SymFunc({lam: 1}, trunc))
-    return tuple(sorted(exp.coeffs.items(), key=lambda kv: graded_lex_key(kv[0])))
+def _inverse_kostka_columns(
+        d: int) -> Mapping[Partition, tuple[tuple[Partition, int], ...]]:
+    """Inverse Kostka numbers of degree d by column: for each nu of d, the
+    pairs (lam, c) with c = [s_nu] m_lam nonzero, lam in the order of
+    ``partitions_of(d)``."""
+    trunc = TruncationProfile.for_degree(d)
+    cols: dict[Partition, list[tuple[Partition, int]]] = {
+        nu: [] for nu in partitions_of(d)}
+    for lam in partitions_of(d):
+        for nu, c in m_to_schur(SymFunc({lam: 1}, trunc)).coeffs.items():
+            cols[nu].append((lam, c))
+    return MappingProxyType({nu: tuple(col) for nu, col in cols.items()})
 
 
 def _pair_with_m(f: SymFunc, schur: dict, basis: str) -> BasisExpansion:
     """The expansion whose lam coefficient pairs the Schur expansion
-    ``schur`` with m_lam, for every partition lam of a degree of f (all
-    fit the profile, whose num_vars is at least its max_degree)."""
+    ``schur`` of f with m_lam.
+
+    Each Schur key nu adds its coefficient times the inverse Kostka
+    column of nu; every lam reached has a degree of f, and all of them
+    fit the profile, whose num_vars is at least its max_degree.
+    """
     out: dict[Partition, int] = {}
-    for d in f.degrees():
-        for lam in partitions_of(d):
-            c = sum(k * schur.get(nu, 0) for nu, k in _inverse_kostka_row(lam))
-            if c:
-                out[lam] = c
+    for nu, c in schur.items():
+        for lam, k in _inverse_kostka_columns(sum(nu))[nu]:
+            out[lam] = out.get(lam, 0) + k * c
     return BasisExpansion(basis, out, f.trunc)
 
 
@@ -346,7 +362,8 @@ def m_to_h(f: SymFunc) -> BasisExpansion:
     """Expansion of f in complete homogeneous functions.
 
     Uses the duality of {h} with {m}: the h_lam coefficient is the Hall
-    pairing of f against m_lam.
+    pairing of f against m_lam, read off the inverse Kostka columns of
+    the Schur support of f.
     """
     return _pair_with_m(f, m_to_schur(f).coeffs, "h")
 

@@ -1,12 +1,16 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from staircase_groth.shapes import EMPTY, partitions_of
 from staircase_groth.symfunc import (
     BasisExpansion,
     SymFunc,
     TruncationProfile,
+    _inverse_kostka_columns,
+    _multiset_splits,
     basis_element,
     hall_inner,
     m_to_e,
@@ -172,6 +176,39 @@ def test_split_alphabets_respects_var_bounds():
     assert split_alphabets(e2, 1, 1) == {((1,), (1,)): 1}
 
 
+def _splits_by_combinations(lam):
+    """Every (gamma, beta) from choosing a set of positions of lam's parts."""
+    idx = range(len(lam))
+    for r in range(len(lam) + 1):
+        for chosen in combinations(idx, r):
+            yield (tuple(lam[i] for i in chosen),
+                   tuple(lam[i] for i in idx if i not in chosen))
+
+
+def test_multiset_splits_grouped_by_size():
+    for lam in all_partitions_up_to(8):
+        groups = _multiset_splits(lam)
+        assert len(groups) == sum(lam) + 1
+        want = [set() for _ in groups]
+        for gamma, beta in _splits_by_combinations(lam):
+            want[sum(gamma)].add((gamma, beta))
+        for d, group in enumerate(groups):
+            assert len(group) == len(set(group))
+            assert set(group) == want[d]
+
+
+def test_split_alphabets_matches_combinations():
+    f = (basis_element("h", (3, 1), P6) - basis_element("e", (2, 2), P6)
+         + m((2, 1, 1, 1)).scale(3))
+    for a, b in ((6, 6), (2, 3), (1, 1)):
+        want = {}
+        for lam, c in f.coeffs.items():
+            for key in set(_splits_by_combinations(lam)):
+                if len(key[0]) <= a and len(key[1]) <= b:
+                    want[key] = want.get(key, 0) + c
+        assert split_alphabets(f, a, b) == want
+
+
 def test_split_is_multiplicative():
     # splitting a product equals convolving the splits
     pairs = [
@@ -210,6 +247,52 @@ def test_m_to_e_round_trips():
     for lam in all_partitions_up_to(4):
         exp = m_to_e(basis_element("e", lam, P6))
         assert exp.coeffs == {lam: 1}
+
+
+# Randomized oracle for m_to_h and m_to_e: f is an integer combination of
+# monomials of mixed degrees, so its Schur support cancels in places, and
+# realizing either expansion through basis_element must give f back.
+_KEYS_6 = list(all_partitions_up_to(6))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.dictionaries(st.sampled_from(_KEYS_6),
+                       st.integers(min_value=-3, max_value=3), max_size=6))
+def test_m_to_h_and_m_to_e_realize_back(terms):
+    f = SymFunc(terms, P6)
+    for tag, expand in (("h", m_to_h), ("e", m_to_e)):
+        exp = expand(f)
+        assert exp.basis == tag
+        back = SymFunc.zero(P6)
+        for lam, c in exp.coeffs.items():
+            back = back + basis_element(tag, lam, P6).scale(c)
+        assert back.coeffs == f.coeffs
+
+
+def test_inverse_kostka_columns_transpose_m_to_schur():
+    for d in range(7):
+        cols = _inverse_kostka_columns(d)
+        assert set(cols) == set(partitions_of(d))
+        rows = {}
+        for nu, col in cols.items():
+            assert isinstance(col, tuple)
+            for lam, c in col:
+                assert c
+                rows.setdefault(lam, {})[nu] = c
+        for lam in partitions_of(d):
+            want = m_to_schur(m(lam, TruncationProfile.for_degree(d)))
+            assert rows[lam] == want.coeffs
+
+
+def test_cached_tables_are_read_only():
+    cols = _inverse_kostka_columns(3)
+    with pytest.raises(TypeError):
+        cols[(3,)] = ()
+    with pytest.raises(AttributeError):
+        cols[(3,)].append(((3,), 1))
+    groups = _multiset_splits((2, 1))
+    assert isinstance(groups, tuple)
+    assert all(isinstance(g, tuple) for g in groups)
 
 
 def test_m_to_e_of_h2():
