@@ -18,8 +18,8 @@ products and skews in the G basis, the unitriangular expansions into the
 g and G bases, the conjugation involutions on those bases, and the
 skewing operator (the Hall adjoint of multiplication), computed by the
 duality of the h and m bases: the operator's h-expansion pairs against
-the splits of its argument's monomial keys, read from the groups of the
-sizes that h-expansion has.
+the operand's coproduct (``SymFunc.coproduct``), reading only the splits
+whose left factor is a key of that h-expansion.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .symfunc import (
     SymFunc,
     TruncationProfile,
     _kostka_row,
-    _multiset_splits,
     basis_element,
     m_to_h,
     m_to_schur,
@@ -247,28 +246,34 @@ def to_schur_expansion(exp: BasisExpansion,
     return m_to_schur(expansion_to_symfunc(exp, trunc))
 
 
+@functools.cache
+def _h_expansion(basis: str, key: Partition, trunc: TruncationProfile
+                 ) -> tuple[tuple[Partition, int], ...]:
+    """The h-expansion of the basis element b_key realized at ``trunc``;
+    empty when key does not fit the profile."""
+    term = expansion_to_symfunc(BasisExpansion(basis, {key: 1}, trunc))
+    return tuple(m_to_h(term).coeffs.items())
+
+
 def skew_by(f: BasisExpansion, a: SymFunc) -> SymFunc:
     """Skewing operator: the Hall adjoint of multiplication by f.
 
-    The h and m bases are dual under the Hall inner product, so writing
+    Skewing by f is (<f, .> (x) id) applied to the coproduct of a.  The h
+    and m bases are dual under the Hall inner product, so writing
     f = sum_gamma c_gamma h_gamma gives the coefficient of m_beta in the
-    result as sum_gamma c_gamma [m_{gamma u beta}] a, where gamma u beta
-    is the multiset union of parts.  Only the splits whose gamma has the
-    size of a key of the h-expansion fh can meet one, so each monomial key
-    of a reads the groups of the sizes fh has, smallest first, up to its
-    own size.  f is realized at a's profile, so a G-basis f is truncated
-    there.  Satisfies the adjunction <g, skew_by(f, a)> = <f g, a>.
+    result as sum_gamma c_gamma [m_{gamma u beta}] a: the h-expansion fh
+    pairs against the operand's coproduct, reading only the gammas fh
+    has.  fh sums one cached h-expansion per key of f, realized at a's
+    profile, so a G-basis f is truncated there and keys above the cap
+    drop out.  Satisfies the adjunction <g, skew_by(f, a)> = <f g, a>.
     """
-    fh = m_to_h(expansion_to_symfunc(f, a.trunc)).coeffs
-    sizes = sorted({sum(gamma) for gamma in fh})
+    fh: dict[Partition, int] = {}
+    for key, c in f.coeffs.items():
+        for gamma, k in _h_expansion(f.basis, key, a.trunc):
+            fh[gamma] = fh.get(gamma, 0) + c * k
+    coproduct = a.coproduct
     out: dict[Partition, int] = {}
-    for lam, c in a.coeffs.items():
-        groups = _multiset_splits(lam)
-        for d in sizes:
-            if d >= len(groups):
-                break
-            for gamma, beta in groups[d]:
-                k = fh.get(gamma)
-                if k:
-                    out[beta] = out.get(beta, 0) + k * c
+    for gamma, k in fh.items():
+        for beta, c in coproduct.get(gamma, ()):
+            out[beta] = out.get(beta, 0) + k * c
     return SymFunc(out, a.trunc)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
@@ -70,13 +69,30 @@ def _clean(coeffs: dict, trunc: TruncationProfile) -> dict:
 
 @dataclass(frozen=True)
 class SymFunc:
-    """Finite monomial-basis expansion under a truncation profile."""
+    """Finite monomial-basis expansion under a truncation profile.
+
+    ``coeffs`` is never written after construction: ``coproduct`` is
+    derived from it lazily and cached on the instance.
+    """
 
     coeffs: dict  # Partition -> int
     trunc: TruncationProfile
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _clean(self.coeffs, self.trunc))
+
+    @functools.cached_property
+    def coproduct(self
+                  ) -> Mapping[Partition, tuple[tuple[Partition, int], ...]]:
+        """The m-basis coproduct, Delta m_lam = sum over gamma u beta = lam
+        of m_gamma (x) m_beta, indexed by the left factor: each gamma maps
+        to the pairs (beta, c), one per key lam = gamma u beta with
+        coefficient c.  Read-only; built on first use."""
+        out: dict[Partition, list[tuple[Partition, int]]] = {}
+        for lam, c in self.coeffs.items():
+            for gamma, beta in _multiset_splits(lam):
+                out.setdefault(gamma, []).append((beta, c))
+        return MappingProxyType({g: tuple(v) for g, v in out.items()})
 
     @classmethod
     def zero(cls, trunc: TruncationProfile) -> "SymFunc":
@@ -289,27 +305,21 @@ def hall_inner(f: BasisExpansion, g: BasisExpansion) -> int:
     return sum(c * g.coeffs.get(k, 0) for k, c in f.coeffs.items())
 
 
-@functools.cache
-def _multiset_splits(lam: Partition
-                     ) -> tuple[tuple[tuple[Partition, Partition], ...], ...]:
+def _multiset_splits(lam: Partition) -> Iterator[tuple[Partition, Partition]]:
     """All ways to split the parts of lam into two sub-multisets
-    (gamma, beta), grouped by size: entry d holds those with |gamma| = d,
-    for d = 0..|lam|."""
+    (gamma, beta), each once."""
     items = sorted(Counter(lam).items(), reverse=True)
-    groups: list[list[tuple[Partition, Partition]]] = [
-        [] for _ in range(sum(lam) + 1)]
 
-    def rec(i: int, a: tuple[int, ...], b: tuple[int, ...], size: int) -> None:
+    def rec(i: int, a: tuple[int, ...], b: tuple[int, ...]
+            ) -> Iterator[tuple[Partition, Partition]]:
         if i == len(items):
-            groups[size].append((a, b))
+            yield a, b
             return
         v, mult = items[i]
         for take in range(mult + 1):
-            rec(i + 1, a + (v,) * take, b + (v,) * (mult - take),
-                size + v * take)
+            yield from rec(i + 1, a + (v,) * take, b + (v,) * (mult - take))
 
-    rec(0, EMPTY, EMPTY, 0)
-    return tuple(map(tuple, groups))
+    yield from rec(0, EMPTY, EMPTY)
 
 
 def split_alphabets(f: SymFunc, a: int, b: int) -> dict:
@@ -317,15 +327,11 @@ def split_alphabets(f: SymFunc, a: int, b: int) -> dict:
 
     A monomial function splits over two alphabets by distributing its
     parts: m_lam(x, y) = sum over multiset splits alpha ++ beta = lam of
-    m_alpha(x) m_beta(y).
+    m_alpha(x) m_beta(y), which is f's coproduct cut to the lengths.
     """
-    out: dict[tuple[Partition, Partition], int] = {}
-    for lam, c in f.coeffs.items():
-        for alpha, beta in chain.from_iterable(_multiset_splits(lam)):
-            if len(alpha) <= a and len(beta) <= b:
-                key = (alpha, beta)
-                out[key] = out.get(key, 0) + c
-    return out
+    return {(alpha, beta): c
+            for alpha, pairs in f.coproduct.items() if len(alpha) <= a
+            for beta, c in pairs if len(beta) <= b}
 
 
 @functools.cache
@@ -333,14 +339,31 @@ def _inverse_kostka_columns(
         d: int) -> Mapping[Partition, tuple[tuple[Partition, int], ...]]:
     """Inverse Kostka numbers of degree d by column: for each nu of d, the
     pairs (lam, c) with c = [s_nu] m_lam nonzero, lam in the order of
-    ``partitions_of(d)``."""
-    trunc = TruncationProfile.for_degree(d)
-    cols: dict[Partition, list[tuple[Partition, int]]] = {
-        nu: [] for nu in partitions_of(d)}
-    for lam in partitions_of(d):
-        for nu, c in m_to_schur(SymFunc({lam: 1}, trunc)).coeffs.items():
-            cols[nu].append((lam, c))
-    return MappingProxyType({nu: tuple(col) for nu, col in cols.items()})
+    ``partitions_of(d)``.
+
+    As h and m are dual, column nu is the h-expansion of s_nu.  Expanding
+    the Jacobi-Trudi determinant s_nu = det(h_{nu_i - i + j}) along its
+    last column gives s_nu = sum_i (-1)^(l - i) h_{nu_i - i + l} s_{nu^(i)},
+    nu^(i) = (nu_1, .., nu_{i-1}, nu_{i+1} - 1, .., nu_l - 1) without
+    zeros, so each column adds a part to the keys of smaller columns.
+    """
+    if d == 0:
+        return MappingProxyType({EMPTY: ((EMPTY, 1),)})
+    order = {lam: i for i, lam in enumerate(partitions_of(d))}
+    cols: dict[Partition, tuple[tuple[Partition, int], ...]] = {}
+    for nu in order:
+        ell = len(nu)
+        col: dict[Partition, int] = {}
+        for i in range(ell):
+            part = nu[i] - i - 1 + ell
+            minor = nu[:i] + tuple(v - 1 for v in nu[i + 1:] if v > 1)
+            sign = -1 if (ell - i - 1) % 2 else 1
+            for kappa, c in _inverse_kostka_columns(d - part)[minor]:
+                lam = tuple(sorted(kappa + (part,), reverse=True))
+                col[lam] = col.get(lam, 0) + sign * c
+        cols[nu] = tuple(sorted(((lam, c) for lam, c in col.items() if c),
+                                key=lambda kv: order[kv[0]]))
+    return MappingProxyType(cols)
 
 
 def _pair_with_m(f: SymFunc, schur: dict, basis: str) -> BasisExpansion:

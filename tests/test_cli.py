@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from staircase_groth import cli as cli_module
 from staircase_groth import verify as vf
 from staircase_groth.cli import run
@@ -357,3 +359,13 @@ def test_golden_output_is_byte_identical():
             code, out = cli(*argv.split(), "--format", fmt)
             assert code == 0, (argv, fmt)
             assert hashlib.sha256(out.encode()).hexdigest() == digest, (argv, fmt)
+
+
+@pytest.mark.slow
+def test_hopf_n5_json_is_byte_identical():
+    # about 30 s and 300 MB on 2 vCPUs; deselected unless run with -m slow
+    code, out = cli("verify", "--suite", "hopf", "--n", "5",
+                    "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "040f809813963c3722c3d32ddd718689101d1186bc8c61a9ffab840208a6916f"

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -319,6 +320,40 @@ def test_skew_by_g_gives_double_skew_G():
         lhs = SymFunc({k: v for k, v in skewed.coeffs.items()
                        if sum(k) <= d}, p)
         assert lhs.coeffs == big_G_double(rho, mu, p).coeffs, mu
+
+
+def _skew_uncached(f, a):
+    """skew_by with f's h-expansion taken whole at a's profile and a's keys
+    split by choosing positions of their parts."""
+    fh = sf.m_to_h(expansion_to_symfunc(f, a.trunc)).coeffs
+    out = {}
+    for lam, c in a.coeffs.items():
+        idx = range(len(lam))
+        splits = {(tuple(lam[i] for i in chosen),
+                   tuple(lam[i] for i in idx if i not in chosen))
+                  for r in range(len(lam) + 1)
+                  for chosen in combinations(idx, r)}
+        for gamma, beta in splits:
+            out[beta] = out.get(beta, 0) + fh.get(gamma, 0) * c
+    return SymFunc(out, a.trunc)
+
+
+def test_skew_by_h_cache_is_keyed_by_operand_profile():
+    p3, p5 = TruncationProfile.for_degree(3), TruncationProfile.for_degree(5)
+    small = dual_g(straight((2, 1)), p3)
+    large = big_G(straight((2, 1)), p5)
+    # (2, 2) is above small's cap, so it drops out there
+    f = BasisExpansion("G", {(1,): 1, (2, 2): -2}, p5)
+    assert gr._h_expansion("G", (2, 2), p3) == ()
+    without = BasisExpansion("G", {(1,): 1}, p5)
+    for order in ((small, large), (large, small)):
+        gr._h_expansion.cache_clear()
+        for a in order + order:  # fresh, then warm
+            got = skew_by(f, a)
+            assert got.coeffs == _skew_uncached(f, a).coeffs
+            assert got.trunc == a.trunc
+        assert skew_by(f, small) == skew_by(without, small)
+        assert skew_by(f, large) != skew_by(without, large)
 
 
 def test_adjunction_small():

@@ -4,13 +4,13 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from staircase_groth.grothendieck import _h_expansion
 from staircase_groth.shapes import EMPTY, partitions_of
 from staircase_groth.symfunc import (
     BasisExpansion,
     SymFunc,
     TruncationProfile,
     _inverse_kostka_columns,
-    _multiset_splits,
     basis_element,
     hall_inner,
     m_to_e,
@@ -22,6 +22,7 @@ from staircase_groth.symfunc import (
 )
 
 P6 = TruncationProfile(6, 6)
+P8 = TruncationProfile(8, 8)
 
 
 def m(lam, trunc=P6):
@@ -31,6 +32,10 @@ def m(lam, trunc=P6):
 def all_partitions_up_to(n):
     for d in range(n + 1):
         yield from partitions_of(d)
+
+
+# keys of the randomized multi-term f below: every partition of size <= 6
+_KEYS_6 = list(all_partitions_up_to(6))
 
 
 def dominates(lam, mu):
@@ -185,16 +190,31 @@ def _splits_by_combinations(lam):
                    tuple(lam[i] for i in idx if i not in chosen))
 
 
-def test_multiset_splits_grouped_by_size():
+def test_coproduct_matches_combinations():
     for lam in all_partitions_up_to(8):
-        groups = _multiset_splits(lam)
-        assert len(groups) == sum(lam) + 1
-        want = [set() for _ in groups]
-        for gamma, beta in _splits_by_combinations(lam):
-            want[sum(gamma)].add((gamma, beta))
-        for d, group in enumerate(groups):
-            assert len(group) == len(set(group))
-            assert set(group) == want[d]
+        cop = SymFunc({lam: 1}, P8).coproduct
+        got = [(gamma, beta) for gamma, pairs in cop.items()
+               for beta, c in pairs]
+        assert len(got) == len(set(got))
+        assert set(got) == set(_splits_by_combinations(lam))
+        assert all(c == 1 for pairs in cop.values() for _, c in pairs)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.dictionaries(st.sampled_from(_KEYS_6),
+                       st.integers(min_value=-3, max_value=3), max_size=6))
+def test_coproduct_sums_the_splits_of_each_key(terms):
+    f = SymFunc(terms, P6)
+    want = {}
+    for lam, c in f.coeffs.items():
+        for gamma, beta in set(_splits_by_combinations(lam)):
+            want.setdefault(gamma, {})[beta] = c
+    cop = f.coproduct
+    assert set(cop) == set(want)
+    for gamma, pairs in cop.items():
+        assert isinstance(pairs, tuple)
+        assert len(pairs) == len(want[gamma])
+        assert dict(pairs) == want[gamma]
 
 
 def test_split_alphabets_matches_combinations():
@@ -252,9 +272,6 @@ def test_m_to_e_round_trips():
 # Randomized oracle for m_to_h and m_to_e: f is an integer combination of
 # monomials of mixed degrees, so its Schur support cancels in places, and
 # realizing either expansion through basis_element must give f back.
-_KEYS_6 = list(all_partitions_up_to(6))
-
-
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(st.dictionaries(st.sampled_from(_KEYS_6),
                        st.integers(min_value=-3, max_value=3), max_size=6))
@@ -270,7 +287,8 @@ def test_m_to_h_and_m_to_e_realize_back(terms):
 
 
 def test_inverse_kostka_columns_transpose_m_to_schur():
-    for d in range(7):
+    # the Kostka peel of m_to_schur is the oracle of the Jacobi-Trudi columns
+    for d in range(11):
         cols = _inverse_kostka_columns(d)
         assert set(cols) == set(partitions_of(d))
         rows = {}
@@ -290,9 +308,15 @@ def test_cached_tables_are_read_only():
         cols[(3,)] = ()
     with pytest.raises(AttributeError):
         cols[(3,)].append(((3,), 1))
-    groups = _multiset_splits((2, 1))
-    assert isinstance(groups, tuple)
-    assert all(isinstance(g, tuple) for g in groups)
+    cop = SymFunc({(2, 1): 1, (1,): 2}, P6).coproduct
+    with pytest.raises(TypeError):
+        cop[(5,)] = ()
+    assert all(isinstance(pairs, tuple) for pairs in cop.values())
+    with pytest.raises(AttributeError):
+        cop[(1,)].append(((), 1))
+    h = _h_expansion("G", (2, 1), P6)
+    assert isinstance(h, tuple)
+    assert all(isinstance(term, tuple) for term in h)
 
 
 def test_m_to_e_of_h2():
