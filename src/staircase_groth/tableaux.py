@@ -382,19 +382,23 @@ class _ChainTables:
                 yield j, w + k, comb(free, k) * sign ** k
 
     def _step(self, kind: str, live: dict[int, int], v: int,
-              rows: dict[int, dict[int, list]]) -> dict[int, int]:
+              rows: dict[int, dict[int, list]], room: int) -> dict[int, int]:
         """Weighted states one part v away from the states of ``live``,
-        over the given transitions by weight."""
+        over the given transitions by weight; for svt, whose lists of
+        transitions ascend by state size, only states of size at most
+        ``room``."""
         unit = kind in _UNIT
         nxt: dict[int, int] = {}
         get = nxt.get
         for i, n in live.items():
-            row = rows[i]
+            row = rows[i].get(v, ())
             if unit:
-                for j in row.get(v, ()):
+                for j in row:
                     nxt[j] = get(j, 0) + n
             else:
-                for j, c in row.get(v, ()):
+                for j, c, s in row:
+                    if s > room:
+                        break
                     nxt[j] = get(j, 0) + n * c
         return nxt
 
@@ -442,8 +446,12 @@ class _ChainTables:
         are symmetric in the content, so every live state i at a suffix
         holds the coefficient of outer/i at that content.  Consumed parts
         plus |i| never fall along the walk (a step adds at least one to
-        the content per cell it adds), so a state is dropped once they
-        exceed |outer| + extra.
+        the content per cell it adds), so a step reaches only states of
+        size at most |outer| + extra less the parts consumed: with the
+        states inverted in ascending size, each predecessor list ascends
+        by size, and the step stops at the first one past that budget.
+        A suffix stops growing once its next part passes the heaviest
+        transition into any of its live states.
         """
         unit = kind in _UNIT
         limit = sum(self.outer) + extra
@@ -451,34 +459,36 @@ class _ChainTables:
         states = [j for j, *_ in _walk(self._parts(self.code(root)),
                                        self.outer, False, self.base)]
         size = {i: sum(self._parts(i)) for i in states}
+        states.sort(key=size.get)
         preds: dict[int, dict[int, list]] = {i: {} for i in states}
         for i in states:
             for j, v, c in self._edges(kind, i):
-                preds[j].setdefault(v, []).append(i if unit else (i, c))
+                preds[j].setdefault(v, []).append(
+                    i if unit else (i, c, size[i]))
+        heavy = {j: max(row, default=0) for j, row in preds.items()}
         table: dict[int, dict[Partition, int]] = {i: {} for i in states}
         table[self.top] = {EMPTY: 1}
         # no state is smaller than the root
         room = limit - sum(root)
         # depth-first over the suffixes; a frame is [content, states,
-        # consumed size, next part]
-        stack = [[EMPTY, {self.top: 1}, 0, 1]]
+        # consumed size, next part, heaviest transition into the states]
+        stack = [[EMPTY, {self.top: 1}, 0, 1, heavy[self.top]]]
         while stack:
             frame = stack[-1]
-            content, bwd, used, v = frame
+            content, bwd, used, v, heaviest = frame
             used += v
-            if used > room:
+            if used > room or v > heaviest:
                 stack.pop()
                 continue
             frame[3] = v + 1
-            nxt = self._step(kind, bwd, v, preds)
+            nxt = self._step(kind, bwd, v, preds, limit - used)
             if not unit:
-                nxt = {i: c for i, c in nxt.items()
-                       if c and size[i] + used <= limit}
+                nxt = {i: c for i, c in nxt.items() if c}
             if nxt:
                 t = (v,) + content
                 for i, c in nxt.items():
                     table[i][t] = c
-                stack.append([t, nxt, used, v])
+                stack.append([t, nxt, used, v, max(map(heavy.get, nxt))])
         return table
 
 
@@ -514,18 +524,18 @@ def content_counts(shape: SkewShape, kind: str, *, num_vars: int,
 
     Contents are restricted to at most ``num_vars`` parts (values drawn
     from {1..num_vars}).  ``max_total_size`` bounds |T|: the cell count
-    for ssyt and rpp, the content size for svt, where it defaults to the
-    natural alphabet bound.
+    for ssyt and rpp, the content size for svt, where it is required (the
+    svt table grows with it).
     """
     _check_kind(kind)
+    if kind == SVT and max_total_size is None:
+        raise ValueError("svt content counts need max_total_size")
     n = shape.size()
     if max_total_size is not None and max_total_size < n:
         return {}
     budget = n
     if kind == SVT:
-        budget = n * num_vars
-        if max_total_size is not None:
-            budget = min(budget, max_total_size)
+        budget = min(n * num_vars, max_total_size)
     return _chain(shape.outer).sweep(kind, shape.inner, num_vars, budget)
 
 

@@ -355,6 +355,24 @@ def test_backward_tables_match_stream(situation, shape, m, data):
     assert full == [call() for _, _, call in engine_requests(shape, cap)]
 
 
+@pytest.mark.parametrize("kind", [SVT, tb._SIGNED_SVT])
+@pytest.mark.parametrize("n", [4, 5])
+def test_budget_cut_tables_match_larger_budgets(kind, n):
+    # a table built cold at extra e holds, state by state, exactly the
+    # entries of the table at e + 2 of content size at most |outer/i| + e,
+    # in the same order: the budget cut drops nothing on its boundary
+    outer = staircase(n)
+    tables = tb._ChainTables(outer)
+    for extra in range(3):
+        cut = tables._backward(kind, EMPTY, extra)
+        wide = tables._backward(kind, EMPTY, extra + 2)
+        assert cut.keys() == wide.keys()
+        for i, counts in cut.items():
+            limit = sum(outer) - sum(tables._parts(i)) + extra
+            assert list(counts.items()) == [
+                (t, c) for t, c in wide[i].items() if sum(t) <= limit], i
+
+
 def test_cold_sweeps_leave_no_cyclic_garbage():
     # no walk is a reference cycle, so a sweep's dicts die with it
     shape = SkewShape((4, 3, 2, 1), (1,))
@@ -407,6 +425,12 @@ def test_single_counts_match_stream(shape, m):
         assert tb.content_counts(shape, kind, num_vars=m,
                                  max_total_size=low) == \
             partition_content_counter(shape, kind, m, low) == {}
+
+
+def test_svt_content_counts_need_a_cap():
+    # the plain svt table grows with the content size, so none is implied
+    with pytest.raises(ValueError):
+        tb.content_counts(SkewShape((2, 1), EMPTY), SVT, num_vars=3)
 
 
 def test_empty_shape_counts():
