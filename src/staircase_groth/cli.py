@@ -54,17 +54,9 @@ def _parse_opt(parse, text: str, option: str):
 
 def _profile(args, default_degree: int) -> TruncationProfile:
     deg = args.deg if args.deg is not None else default_degree
-    vars_ = args.vars if args.vars is not None else max(deg, 1)
     if deg < 0:
         raise UsageError("--deg: must be nonnegative")
-    if vars_ < deg:
-        raise UsageError(
-            f"--vars: {vars_} is below --deg {deg}; equality up to degree "
-            "--deg needs at least that many variables")
-    try:
-        return TruncationProfile(deg, vars_)
-    except ValueError as e:
-        raise UsageError(f"--deg/--vars: {e}") from None
+    return TruncationProfile(deg)
 
 
 def _coeff_doc(kind: str, basis: str, poly_coeffs: dict,
@@ -90,7 +82,7 @@ def _emit(doc: dict, fmt: str, out) -> None:
 
 
 def _polynomial(args) -> tuple:
-    """The --kind polynomial of --shape and the --deg/--vars profile."""
+    """The --kind polynomial of --shape and the --deg profile."""
     shape = _parse_opt(parse_skew, args.shape, "--shape")
     trunc = _profile(args, shape.size())
     try:
@@ -250,7 +242,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shape", required=True,
                    help="outer[/inner], e.g. 3,2,1/1")
     p.add_argument("--mu", help="inner partition for kind G-double")
-    p.add_argument("--vars", type=int, default=None)
     p.add_argument("--deg", type=int, default=None)
     add_common(p)
 
@@ -258,7 +249,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=tuple(_KINDS), required=True)
     p.add_argument("--shape", required=True)
     p.add_argument("--target", choices=tuple(_TARGETS), required=True)
-    p.add_argument("--vars", type=int, default=None)
     p.add_argument("--deg", type=int, default=None)
     add_common(p)
 

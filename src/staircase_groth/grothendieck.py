@@ -79,10 +79,8 @@ def schur(shape: SkewShape, trunc: TruncationProfile) -> SymFunc:
 @functools.cache
 def _dual_g_cached(outer: Partition, inner: Partition,
                    trunc: TruncationProfile) -> SymFunc:
-    shape = SkewShape(outer, inner)
-    counts = tableaux.content_counts(shape, tableaux.RPP,
-                                     num_vars=trunc.num_vars)
-    return SymFunc(dict(counts), trunc)
+    return SymFunc(tableaux.content_counts(SkewShape(outer, inner),
+                                           tableaux.RPP), trunc)
 
 
 def dual_g(shape: SkewShape, trunc: TruncationProfile) -> SymFunc:
@@ -97,10 +95,8 @@ def dual_g(shape: SkewShape, trunc: TruncationProfile) -> SymFunc:
 @functools.cache
 def _big_G_cached(outer: Partition, inner: Partition,
                   trunc: TruncationProfile) -> SymFunc:
-    shape = SkewShape(outer, inner)
-    counts = tableaux.signed_svt_counts(shape, num_vars=trunc.num_vars,
-                                        max_total_size=trunc.max_degree)
-    return SymFunc(dict(counts), trunc)
+    return SymFunc(tableaux.signed_svt_counts(
+        SkewShape(outer, inner), max_total_size=trunc.max_degree), trunc)
 
 
 def big_G(shape: SkewShape, trunc: TruncationProfile) -> SymFunc:
@@ -162,12 +158,20 @@ def _peel(f: SymFunc, basis: str, end) -> BasisExpansion:
 
     Reads the Schur coefficients of f's part at that end and subtracts
     those multiples of the b_lam, which clears that degree and leaves
-    only degrees further in, until nothing is left.
+    only degrees further in, until nothing is left.  A round that leaves
+    its degree, or one further out, raises: the basis elements are wrong,
+    and peeling would not end.
     """
     out: dict[Partition, int] = {}
     work = f
+    last = None
     while not work.is_zero():
-        s_exp = m_to_schur(work.homogeneous_part(end(work.degrees())))
+        d = end(work.degrees())
+        if last is not None and end(d, last) == d:
+            raise RuntimeError(
+                f"peeling degree {last} in the {basis} basis left degree {d}")
+        last = d
+        s_exp = m_to_schur(work.homogeneous_part(d))
         for lam, c in s_exp.coeffs.items():
             out[lam] = out.get(lam, 0) + c
         work = work - expansion_to_symfunc(
@@ -214,14 +218,17 @@ def expansion_to_symfunc(exp: BasisExpansion,
                          trunc: TruncationProfile | None = None) -> SymFunc:
     """Realize a basis expansion in monomial coordinates.
 
-    Keys whose degree exceeds the target profile are dropped; for the G
-    basis the realization is the usual degree-capped truncation.
+    A key of degree above the target cap is dropped where its element has
+    no lower degree: m, s, e and h are homogeneous of degree |lam|, and
+    G_lam starts there, so for the G basis the realization is the usual
+    degree-capped truncation.  g_lam runs from degree lam_1 up to |lam|,
+    so a g key there raises ValueError, as ``dual_g`` does.
     """
     if trunc is None:
         trunc = exp.trunc
     total: dict[Partition, int] = {}
     for lam, c in exp.coeffs.items():
-        if sum(lam) > trunc.max_degree:
+        if sum(lam) > trunc.max_degree and exp.basis != "g":
             continue
         if exp.basis == "m":
             term = SymFunc({lam: 1}, trunc)
@@ -250,8 +257,10 @@ def to_schur_expansion(exp: BasisExpansion,
 def _h_expansion(basis: str, key: Partition, trunc: TruncationProfile
                  ) -> tuple[tuple[Partition, int], ...]:
     """The h-expansion of the basis element b_key realized at ``trunc``;
-    empty when key does not fit the profile."""
-    term = expansion_to_symfunc(BasisExpansion(basis, {key: 1}, trunc))
+    empty when key does not fit the profile (for g, raises)."""
+    # held at its own degree, a key above the cap reaches the realization
+    term = expansion_to_symfunc(
+        BasisExpansion(basis, {key: 1}, TruncationProfile(sum(key))), trunc)
     return tuple(m_to_h(term).coeffs.items())
 
 
@@ -265,7 +274,8 @@ def skew_by(f: BasisExpansion, a: SymFunc) -> SymFunc:
     pairs against the operand's coproduct, reading only the gammas fh
     has.  fh sums one cached h-expansion per key of f, realized at a's
     profile, so a G-basis f is truncated there and keys above the cap
-    drop out.  Satisfies the adjunction <g, skew_by(f, a)> = <f g, a>.
+    drop out, while a g key above the cap raises ValueError.  Satisfies
+    the adjunction <g, skew_by(f, a)> = <f g, a>.
     """
     fh: dict[Partition, int] = {}
     for key, c in f.coeffs.items():

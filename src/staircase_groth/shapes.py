@@ -84,27 +84,19 @@ def subpartitions(p: Partition) -> tuple[Partition, ...]:
     return tuple(acc)
 
 
-def partitions_of(n: int, max_part: int | None = None,
-                  max_length: int | None = None) -> Iterator[Partition]:
-    """Generate all partitions of n, largest first part first.
-
-    Optional bounds restrict the largest part and the number of parts.
-    """
+def partitions_of(n: int) -> Iterator[Partition]:
+    """Generate all partitions of n, largest first part first."""
     if n < 0:
         return
-    cap = n if max_part is None else min(max_part, n)
-    rows = n if max_length is None else max_length
 
-    def rec(rem: int, largest: int, length: int, cur: tuple[int, ...]):
+    def rec(rem: int, largest: int, cur: tuple[int, ...]):
         if rem == 0:
             yield cur
             return
-        if length == 0:
-            return
         for v in range(min(largest, rem), 0, -1):
-            yield from rec(rem - v, v, length - 1, cur + (v,))
+            yield from rec(rem - v, v, cur + (v,))
 
-    yield from rec(n, cap, rows, EMPTY)
+    yield from rec(n, n, EMPTY)
 
 
 @dataclass(frozen=True)

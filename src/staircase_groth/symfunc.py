@@ -2,11 +2,11 @@
 
 A symmetric function is stored in the monomial basis as a finite map
 from partitions to integer coefficients together with a truncation
-profile (max_degree D, num_vars a).  All operations discard degrees
-above D, which is the documented meaning of equality between objects
-that are infinite series in full generality.  The profile keeps
-a >= D so that equality up to degree D is faithful: distinct symmetric
-functions of degree <= D stay distinct in a variables.
+profile, its degree cap D.  All operations discard degrees above D,
+which is the documented meaning of equality between objects that are
+infinite series in full generality.  No key of degree at most D has
+more than D parts, so the monomial coordinates are those in any D or
+more variables, where equality up to degree D is faithful.
 
 Coefficients are exact arbitrary-precision integers.  Every basis change
 in scope is unimodular, so no rationals ever appear.
@@ -36,32 +36,30 @@ BASES = ("m", "s", "e", "h", "g", "G")
 
 @dataclass(frozen=True)
 class TruncationProfile:
-    """Degree cap D and variable count a, with a >= D for faithfulness."""
+    """Degree cap D: every operation discards the degrees above it."""
 
     max_degree: int
-    num_vars: int
 
     def __post_init__(self):
         if self.max_degree < 0:
             raise ValueError("max_degree must be nonnegative")
-        if self.num_vars < 1:
-            raise ValueError("num_vars must be positive")
-        if self.num_vars < self.max_degree:
-            raise ValueError(
-                f"profile needs num_vars >= max_degree, got {self}")
+
+    @property
+    def num_vars(self) -> int:
+        """The variable count reports list, max(D, 1): enough for equality
+        up to degree D to be faithful.  No coefficient depends on it."""
+        return max(self.max_degree, 1)
 
     @classmethod
     def for_degree(cls, d: int) -> "TruncationProfile":
-        return cls(d, max(d, 1))
+        return cls(d)
 
 
 def _clean(coeffs: dict, trunc: TruncationProfile) -> dict:
     out = {}
     for lam, c in coeffs.items():
         lam = tuple(lam)
-        if c == 0:
-            continue
-        if sum(lam) > trunc.max_degree or len(lam) > trunc.num_vars:
+        if c == 0 or sum(lam) > trunc.max_degree:
             continue
         out[lam] = c
     return out
@@ -220,7 +218,7 @@ def basis_element(tag: str, lam: Partition, trunc: TruncationProfile) -> SymFunc
     if tag == "h":
         out = SymFunc.one(trunc)
         for part in lam:
-            hn = {mu: 1 for mu in partitions_of(part, max_length=trunc.num_vars)}
+            hn = {mu: 1 for mu in partitions_of(part)}
             out = out * SymFunc(hn, trunc)
         return out
     raise ValueError(f"unknown basis tag {tag!r}; expected m, e, or h")
@@ -233,13 +231,11 @@ def _kostka_row(outer: Partition, inner: Partition
     outer/inner with content mu, in graded lex order of mu.
 
     This is the one cache of Schur tables; straight shapes pass EMPTY.
-    No content has more parts than the shape has cells, so the row is the
-    same under every profile that holds the shape (num_vars >= max_degree
-    >= |shape|) and is not keyed by profile.
+    The row is homogeneous of degree |outer/inner|, so it is the same
+    under every profile that holds the shape and is not keyed by profile.
     """
-    shape = SkewShape(outer, inner)
-    return tuple(tableaux.content_counts(
-        shape, tableaux.SSYT, num_vars=max(shape.size(), 1)).items())
+    return tuple(tableaux.content_counts(SkewShape(outer, inner),
+                                         tableaux.SSYT).items())
 
 
 def schur_to_m(lam: Partition, trunc: TruncationProfile) -> SymFunc:
@@ -371,8 +367,8 @@ def _pair_with_m(f: SymFunc, schur: dict, basis: str) -> BasisExpansion:
     ``schur`` of f with m_lam.
 
     Each Schur key nu adds its coefficient times the inverse Kostka
-    column of nu; every lam reached has a degree of f, and all of them
-    fit the profile, whose num_vars is at least its max_degree.
+    column of nu; every lam reached has a degree of f, so all of them
+    fit the profile.
     """
     out: dict[Partition, int] = {}
     for nu, c in schur.items():

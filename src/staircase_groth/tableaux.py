@@ -422,15 +422,13 @@ class _ChainTables:
     def count(self, kind: str, inner: Partition, content: Partition) -> int:
         return self.coeffs(kind, inner, sum(content)).get(content, 0)
 
-    def sweep(self, kind: str, inner: Partition, max_length: int,
+    def sweep(self, kind: str, inner: Partition,
               budget: int) -> dict[Partition, int]:
-        """Nonzero counts of every content with at most ``max_length``
-        parts summing to at most ``budget``, in graded lex order."""
+        """Nonzero counts of every content of size at most ``budget``, in
+        graded lex order."""
         coeffs = self.coeffs(kind, inner, budget)
         # descending lex, then stably by size: graded lex order
-        keys = sorted((t for t in coeffs
-                       if len(t) <= max_length and sum(t) <= budget),
-                      reverse=True)
+        keys = sorted((t for t in coeffs if sum(t) <= budget), reverse=True)
         keys.sort(key=sum)
         return {t: coeffs[t] for t in keys}
 
@@ -518,14 +516,14 @@ def count_fillings(shape: SkewShape, kind: str, content: Partition,
     return _chain(shape.outer).count(kind, shape.inner, content)
 
 
-def content_counts(shape: SkewShape, kind: str, *, num_vars: int,
+def content_counts(shape: SkewShape, kind: str, *,
                    max_total_size: int | None = None) -> dict[Partition, int]:
     """All nonzero exact-content counts, keyed by content partition.
 
-    Contents are restricted to at most ``num_vars`` parts (values drawn
-    from {1..num_vars}).  ``max_total_size`` bounds |T|: the cell count
-    for ssyt and rpp, the content size for svt, where it is required (the
-    svt table grows with it).
+    Contents of every length are counted, as over an unbounded alphabet.
+    ``max_total_size`` bounds |T|: the cell count for ssyt and rpp, the
+    content size for svt, where it is required (the svt table grows with
+    it).
     """
     _check_kind(kind)
     if kind == SVT and max_total_size is None:
@@ -533,13 +531,11 @@ def content_counts(shape: SkewShape, kind: str, *, num_vars: int,
     n = shape.size()
     if max_total_size is not None and max_total_size < n:
         return {}
-    budget = n
-    if kind == SVT:
-        budget = min(n * num_vars, max_total_size)
-    return _chain(shape.outer).sweep(kind, shape.inner, num_vars, budget)
+    budget = max_total_size if kind == SVT else n
+    return _chain(shape.outer).sweep(kind, shape.inner, budget)
 
 
-def signed_svt_counts(shape: SkewShape, *, num_vars: int,
+def signed_svt_counts(shape: SkewShape, *,
                       max_total_size: int) -> dict[Partition, int]:
     """Signed svt content coefficients: sum of (-1)^(|T| - |shape|) over
     fillings with the given exact content, keyed by content partition.
@@ -547,8 +543,7 @@ def signed_svt_counts(shape: SkewShape, *, num_vars: int,
     Computed by the signed chain tables; must agree with (and is tested
     against) signing the plain counts from the naive stream.
     """
-    return _chain(shape.outer).sweep(_SIGNED_SVT, shape.inner, num_vars,
-                                     max_total_size)
+    return _chain(shape.outer).sweep(_SIGNED_SVT, shape.inner, max_total_size)
 
 
 # ---------------------------------------------------------------------------

@@ -411,8 +411,8 @@ def verify_hopf(n: int = 3, max_degree: int | None = None,
     if "delta-g" in include:
         for lam in _sorted_partitions(min(n + 1, 5)):
             p = TruncationProfile.for_degree(max(sum(lam), 1))
-            nv = p.num_vars
-            lhs = sf.split_alphabets(gr.dual_g(SkewShape(lam, EMPTY), p), nv, nv)
+            d = p.max_degree
+            lhs = sf.split_alphabets(gr.dual_g(SkewShape(lam, EMPTY), p), d, d)
             rhs: dict = {}
             for mu in subpartitions(lam):
                 gx = gr.dual_g(SkewShape(mu, EMPTY), p).coeffs
@@ -454,9 +454,12 @@ def verify_hopf(n: int = 3, max_degree: int | None = None,
                 cases.append(_case(inputs, "skew by g_mu of G_rho == rook-strip "
                                    "sum G(rho//mu)", _sym_witness(lhs, rhs)))
             if "double-sum" in include:
-                lhs = SymFunc.zero(trunc)
+                total: dict[Partition, int] = {}
                 for sigma in subpartitions(mu):
-                    lhs = lhs + gr.big_G_double(rho, sigma, trunc)
+                    double = gr.big_G_double(rho, sigma, trunc)
+                    for k, c in double.coeffs.items():
+                        total[k] = total.get(k, 0) + c
+                lhs = SymFunc(total, trunc)
                 rhs = gr.big_G(SkewShape(rho, mu), trunc)
                 cases.append(_case(inputs, "sum of G(rho//sigma) over sigma in "
                                    "mu == G(rho/mu)", _sym_witness(lhs, rhs)))
@@ -570,8 +573,6 @@ def _dense_monomials(f: SymFunc, nvars: int) -> dict:
     explicit polynomial over exponent vectors in nvars variables."""
     out: dict = {}
     for lam, c in f.coeffs.items():
-        if len(lam) > nvars:
-            continue
         padded = tuple(lam) + (0,) * (nvars - len(lam))
         for arr in set(itertools.permutations(padded)):
             out[arr] = out.get(arr, 0) + c

@@ -56,7 +56,7 @@ def test_criterion_02_stembridge_for_G():
 
 def test_criterion_03_worked_examples():
     t0 = time.time()
-    p3 = TruncationProfile(3, 3)
+    p3 = TruncationProfile(3)
     ok = gr.schur(SkewShape((2, 1, 1), (1,)), p3).coeffs == \
         {(2, 1): 1, (1, 1, 1): 3}
     ok = ok and gr.dual_g(SkewShape((2, 2), (1,)), p3).coeffs == \

@@ -23,14 +23,14 @@ def cli(*argv):
 
 def test_compute_text_matches_worked_example():
     code, out = cli("compute", "--kind", "g", "--shape", "2,2/1",
-                    "--vars", "4", "--deg", "4")
+                    "--deg", "4")
     assert code == 0
     assert out.strip() == "m[2]=1 m[1,1]=1 m[2,1]=1 m[1,1,1]=2"
 
 
 def test_compute_json_round_trips_byte_identical():
     code, out = cli("compute", "--kind", "g", "--shape", "3,2,1/1",
-                    "--vars", "6", "--deg", "6", "--format", "json")
+                    "--deg", "6", "--format", "json")
     assert code == 0
     doc = json.loads(out)
     assert json.dumps(doc, indent=2) + "\n" == out
@@ -99,8 +99,6 @@ def test_usage_errors_exit_2():
     for argv in (
             ("compute", "--kind", "g", "--shape", "2,x"),
             ("compute", "--kind", "g", "--shape", "1,2"),
-            ("compute", "--kind", "g", "--shape", "2,1", "--vars", "1",
-             "--deg", "3"),
             ("compute", "--kind", "g", "--shape", "2,2/2,2,2"),
             ("compute", "--kind", "G-double", "--shape", "2,1/1", "--mu", "1"),
             ("compute", "--kind", "G-double", "--shape", "2,1"),
@@ -203,6 +201,18 @@ def test_verify_usage_errors_print_no_traceback(capsys):
                    "in 1..6, got 9\n")
 
 
+def test_vars_is_not_an_option(capsys):
+    # a profile is its degree cap: no command takes a variable count
+    for argv in (("compute", "--kind", "g", "--shape", "2,1", "--vars", "4"),
+                 ("expand", "--kind", "g", "--shape", "2,1", "--target", "h",
+                  "--vars", "4")):
+        code, out = cli(*argv)
+        assert code == 2 and out == "", argv
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --vars 4" in err, argv
+        assert "Traceback" not in err, argv
+
+
 def test_closed_output_exits_1_without_traceback():
     class ClosedPipe:
         def write(self, text):
@@ -216,8 +226,14 @@ def test_closed_output_exits_1_without_traceback():
         [sys.executable, "-m", "staircase_groth", "verify", "--suite", "hopf",
          "--n", "2"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert proc.wait() == 1
+    try:
+        # a hang fails the test instead of stalling the run
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 1
+    err = err.decode()
     assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
@@ -279,8 +295,9 @@ GOLDEN = (
     ("expand --kind s --shape 2,1 --target e",
      "d2927402848dbc93f139a2a2d1444d29a226f170b35f5d4954cab1d4d8c3db85",
      "661ca58a3432fcbb528e33047891c9b32e972ffa1e9f88370b708792e408fae3"),
-    ("expand --kind g --shape 2,1 --vars 4 --target h",
-     "ae039a1f7b392dcba90f6fe181b52317394f9b4a5c38d0ab97e7d9506ca0952e",
+    # JSON re-recorded when --vars was retired: "vars" now reads the cap, 3
+    ("expand --kind g --shape 2,1 --target h",
+     "beca329bc3fa1662bf134c998c759eb39e0aa837b94926efebed64ab3b5c3ce5",
      "35735b14be661644f8c0493dc621ff2e8afd41533e6779e00d1807f49bcaedeb"),
     ("coeff --family c --nu 1 --mu 1 --target 2,1",
      "1d99f5d3a69d2e5a9be0d1772505744aed085fab121ebda421a7a3d026e1659b",

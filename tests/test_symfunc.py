@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from itertools import combinations
 
@@ -21,8 +22,8 @@ from staircase_groth.symfunc import (
     split_alphabets,
 )
 
-P6 = TruncationProfile(6, 6)
-P8 = TruncationProfile(8, 8)
+P6 = TruncationProfile(6)
+P8 = TruncationProfile(8)
 
 
 def m(lam, trunc=P6):
@@ -51,10 +52,14 @@ def dominates(lam, mu):
 
 def test_profile_validation():
     with pytest.raises(ValueError):
-        TruncationProfile(3, 2)
-    with pytest.raises(ValueError):
-        TruncationProfile(-1, 2)
-    assert TruncationProfile.for_degree(0) == TruncationProfile(0, 1)
+        TruncationProfile(-1)
+    # the degree cap is the only setting; the variable count the reports
+    # list follows from it
+    assert [f.name for f in dataclasses.fields(TruncationProfile)] == [
+        "max_degree"]
+    for d in range(4):
+        assert TruncationProfile(d).num_vars == max(d, 1)
+    assert TruncationProfile.for_degree(0) == TruncationProfile(0)
 
 
 def test_add():
@@ -64,7 +69,7 @@ def test_add():
     assert (f + SymFunc.zero(P6)).coeffs == f.coeffs
     assert (m((2,)) - m((2,))).is_zero()
     with pytest.raises(ValueError):
-        m((1,)) + m((1,), TruncationProfile(5, 5))
+        m((1,)) + m((1,), TruncationProfile(5))
 
 
 def test_multiply_examples():
@@ -77,7 +82,7 @@ def test_multiply_examples():
 
 
 def test_multiply_truncates():
-    p = TruncationProfile(2, 2)
+    p = TruncationProfile(2)
     f = basis_element("m", (2,), p)
     assert multiply(f, f).is_zero()
 

@@ -212,9 +212,9 @@ def partition_content_counter(shape, kind, max_entry, cap=None):
 def test_content_counts_match_stream(kind):
     for shape in (SkewShape((2, 1), EMPTY), SkewShape((2, 2), (1,)),
                   SkewShape((3, 1), (1,)), SkewShape((2, 2, 1), (1,))):
-        nv = shape.size()
-        expected = partition_content_counter(shape, kind, nv)
-        got = tb.content_counts(shape, kind, num_vars=nv)
+        # a value per cell reaches every content
+        expected = partition_content_counter(shape, kind, shape.size())
+        got = tb.content_counts(shape, kind)
         assert got == expected
 
 
@@ -222,7 +222,7 @@ def test_svt_content_counts_match_stream():
     for shape in (SkewShape((2, 1), EMPTY), SkewShape((2, 2), (1,))):
         cap = shape.size() + 2
         expected = partition_content_counter(shape, SVT, cap, cap)
-        got = tb.content_counts(shape, SVT, num_vars=cap, max_total_size=cap)
+        got = tb.content_counts(shape, SVT, max_total_size=cap)
         assert got == expected
 
 
@@ -240,7 +240,7 @@ def test_signed_svt_counts_match_stream():
                   SkewShape((3, 2), EMPTY), SkewShape((2, 2, 1), (1,))):
         cap = shape.size() + 3
         expected = signed_content_counter(shape, cap, cap)
-        got = tb.signed_svt_counts(shape, num_vars=cap, max_total_size=cap)
+        got = tb.signed_svt_counts(shape, max_total_size=cap)
         assert got == expected
 
 
@@ -260,24 +260,26 @@ def stream_counts(shape, m):
             signed_content_counter(shape, m, cap))
 
 
-def engine_requests(shape, m, extra=2):
+def engine_requests(shape, extra=2):
     """The four sweeps, as (table kind, request extra degree, call); the
-    svt sweeps are capped at |shape| + extra, and plain svt also at m
-    values per cell."""
-    n = shape.size()
-    cap = n + extra
-    return ((SSYT, 0, lambda: tb.content_counts(shape, SSYT, num_vars=m)),
-            (RPP, 0, lambda: tb.content_counts(shape, RPP, num_vars=m)),
-            (SVT, min(n * m, cap) - n,
-             lambda: tb.content_counts(shape, SVT, num_vars=m,
-                                       max_total_size=cap)),
+    svt sweeps are capped at |shape| + extra."""
+    cap = shape.size() + extra
+    return ((SSYT, 0, lambda: tb.content_counts(shape, SSYT)),
+            (RPP, 0, lambda: tb.content_counts(shape, RPP)),
+            (SVT, extra,
+             lambda: tb.content_counts(shape, SVT, max_total_size=cap)),
             (tb._SIGNED_SVT, extra,
-             lambda: tb.signed_svt_counts(shape, num_vars=m,
-                                          max_total_size=cap)))
+             lambda: tb.signed_svt_counts(shape, max_total_size=cap)))
+
+
+def within(counts, m):
+    """The counts of contents with at most m parts: those of the stream
+    with entries at most m."""
+    return {t: c for t, c in counts.items() if len(t) <= m}
 
 
 def engine_counts(shape, m):
-    return tuple(call() for _, _, call in engine_requests(shape, m))
+    return tuple(within(call(), m) for _, _, call in engine_requests(shape))
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -309,13 +311,11 @@ TABLE_SITUATIONS = ("cold", "warm", "smaller extra", "other root")
 @given(st.sampled_from([s for s in SMALL_SHAPES if s.size()]),
        st.integers(min_value=1, max_value=3), st.data())
 def test_backward_tables_match_stream(situation, shape, m, data):
-    # the request has extra degree 2 for signed svt (plain svt: at most 2)
-    # and 0 for ssyt and rpp; "warm" builds every table first from an inner
-    # shape inside the request's at extra up to 2 or 3, "smaller extra" at
-    # 0 or 1 (the signed svt table rebuilds, and the plain one where the
-    # request reaches further), "other root" from an inner shape
-    # outside the request's (every table rebuilds at the meet of the two
-    # inner shapes)
+    # the request has extra degree 2 for plain and signed svt and 0 for
+    # ssyt and rpp; "warm" builds every table first from an inner shape
+    # inside the request's at extra 2 or 3, "smaller extra" at 0 or 1 (both
+    # svt tables rebuild), "other root" from an inner shape outside the
+    # request's (every table rebuilds at the meet of the two inner shapes)
     outer, inner = shape.outer, shape.inner
     if situation == "other root":
         roots = [p for p in subpartitions(outer)
@@ -330,14 +330,13 @@ def test_backward_tables_match_stream(situation, shape, m, data):
     tb._chain_cache.clear()
     first = {}  # table kind -> extra degree of the first request
     if situation != "cold":
-        nv = data.draw(st.integers(min_value=1, max_value=3))
-        for kind, want, call in engine_requests(SkewShape(outer, root), nv,
+        for kind, want, call in engine_requests(SkewShape(outer, root),
                                                 extra):
             call()
             first[kind] = want
-    for (kind, want, call), expected in zip(engine_requests(shape, m),
+    for (kind, want, call), expected in zip(engine_requests(shape),
                                             stream_counts(shape, m)):
-        assert call() == expected, kind
+        assert within(call(), m) == expected, kind
         tables = tb._chain_cache[outer]
         code = tables.code(inner)
         got_root, fits, table = tables.back[kind]
@@ -349,10 +348,9 @@ def test_backward_tables_match_stream(situation, shape, m, data):
         # the table holds no content past its extra degree
         assert max(map(sum, table[code])) <= shape.size() + fits
     # contents of every length: as from tables built by this request
-    cap = shape.size() + 2
-    full = [call() for _, _, call in engine_requests(shape, cap)]
+    full = [call() for _, _, call in engine_requests(shape)]
     tb._chain_cache.clear()
-    assert full == [call() for _, _, call in engine_requests(shape, cap)]
+    assert full == [call() for _, _, call in engine_requests(shape)]
 
 
 @pytest.mark.parametrize("kind", [SVT, tb._SIGNED_SVT])
@@ -380,18 +378,15 @@ def test_cold_sweeps_leave_no_cyclic_garbage():
     def rebuild():
         # the straight shape lies outside the table's root, and its extra
         # degree is larger, so its sweep replaces the table
-        tb.signed_svt_counts(shape, num_vars=11, max_total_size=10)
-        tb.signed_svt_counts(SkewShape(shape.outer, EMPTY), num_vars=11,
-                             max_total_size=12)
+        tb.signed_svt_counts(shape, max_total_size=10)
+        tb.signed_svt_counts(SkewShape(shape.outer, EMPTY), max_total_size=12)
         assert tb._chain_cache[shape.outer].back[tb._SIGNED_SVT][:2] == (
             EMPTY, 2)
 
-    sweeps = (lambda: tb.content_counts(shape, RPP, num_vars=9),
-              lambda: tb.signed_svt_counts(shape, num_vars=11,
-                                           max_total_size=11),
-              lambda: tb.content_counts(shape, SSYT, num_vars=9),
-              lambda: tb.content_counts(shape, SVT, num_vars=3,
-                                        max_total_size=11),
+    sweeps = (lambda: tb.content_counts(shape, RPP),
+              lambda: tb.signed_svt_counts(shape, max_total_size=11),
+              lambda: tb.content_counts(shape, SSYT),
+              lambda: tb.content_counts(shape, SVT, max_total_size=11),
               rebuild)
     for sweep in sweeps:
         tb._chain_cache.clear()
@@ -413,8 +408,8 @@ def test_single_counts_match_stream(shape, m):
     cap = shape.size() + 2
     low = shape.size() - 1
     expected = dict(zip((SSYT, RPP, SVT), stream_counts(shape, m)))
-    contents = [t for s in range(cap + 2)
-                for t in partitions_of(s, max_length=m)]
+    contents = [t for s in range(cap + 2) for t in partitions_of(s)
+                if len(t) <= m]
     for kind, counts in expected.items():
         for t in contents:
             want = counts.get(t, 0) if sum(t) <= cap else 0
@@ -422,20 +417,19 @@ def test_single_counts_match_stream(shape, m):
                                      max_total_size=cap) == want, (kind, t)
             assert tb.count_fillings(shape, kind, t,
                                      max_total_size=low) == 0, (kind, t)
-        assert tb.content_counts(shape, kind, num_vars=m,
-                                 max_total_size=low) == \
+        assert tb.content_counts(shape, kind, max_total_size=low) == \
             partition_content_counter(shape, kind, m, low) == {}
 
 
 def test_svt_content_counts_need_a_cap():
     # the plain svt table grows with the content size, so none is implied
     with pytest.raises(ValueError):
-        tb.content_counts(SkewShape((2, 1), EMPTY), SVT, num_vars=3)
+        tb.content_counts(SkewShape((2, 1), EMPTY), SVT)
 
 
 def test_empty_shape_counts():
     empty = SkewShape((2, 1), (2, 1))
-    assert tb.content_counts(empty, SSYT, num_vars=3) == {EMPTY: 1}
+    assert tb.content_counts(empty, SSYT) == {EMPTY: 1}
     assert tb.count_fillings(empty, RPP, EMPTY) == 1
     assert tb.count_fillings(empty, RPP, (1,)) == 0
     assert tb.count_lattice_fillings(empty, EMPTY) == 1

@@ -42,7 +42,7 @@ def test_report_serializes_to_json():
 
 
 def test_sym_witness_payload():
-    p = TruncationProfile(2, 2)
+    p = TruncationProfile(2)
     lhs = SymFunc({(1,): 1, (2,): 2}, p)
     rhs = SymFunc({(1,): 1, (1, 1): 5}, p)
     w = vf._sym_witness(lhs, rhs)
