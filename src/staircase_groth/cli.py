@@ -128,7 +128,10 @@ def _cmd_coeff(args, out) -> int:
         nu = _parse_opt(parse_partition, args.nu, "--nu")
         mu = _parse_opt(parse_partition, args.mu, "--mu")
         target = _parse_opt(parse_partition, args.target, "--target")
-        sc = gr.lr_coeff(nu, mu, target)
+        try:
+            sc = gr.lr_coeff(nu, mu, target)
+        except ValueError as e:
+            raise UsageError(f"--nu/--mu/--target: {e}") from None
         inputs = {"nu": format_partition(nu), "mu": format_partition(mu),
                   "target": format_partition(target)}
     else:
@@ -136,7 +139,10 @@ def _cmd_coeff(args, out) -> int:
             raise UsageError("--shape/--content: required for family alpha")
         shape = _parse_opt(parse_skew, args.shape, "--shape")
         content = _parse_opt(parse_partition, args.content, "--content")
-        sc = gr.alpha(shape, content)
+        try:
+            sc = gr.alpha(shape, content)
+        except ValueError as e:
+            raise UsageError(f"--shape/--content: {e}") from None
         inputs = {"shape": str(shape), "content": format_partition(content)}
     doc = {
         "kind": "coeff",

@@ -214,27 +214,15 @@ def tau_bar(f: BasisExpansion) -> BasisExpansion:
     return _conjugate_indices(f, "g")
 
 
-def expansion_to_symfunc(exp: BasisExpansion,
-                         trunc: TruncationProfile | None = None) -> SymFunc:
-    """Realize a basis expansion in monomial coordinates.
-
-    A key of degree above the target cap is dropped where its element has
-    no lower degree: m, s, e and h are homogeneous of degree |lam|, and
-    G_lam starts there, so for the G basis the realization is the usual
-    degree-capped truncation.  g_lam runs from degree lam_1 up to |lam|,
-    so a g key there raises ValueError, as ``dual_g`` does.
-    """
-    if trunc is None:
-        trunc = exp.trunc
+def expansion_to_symfunc(exp: BasisExpansion) -> SymFunc:
+    """Realize a basis expansion in monomial coordinates at its profile,
+    where every key fits (``BasisExpansion`` drops or refuses the rest)."""
+    trunc = exp.trunc
     total: dict[Partition, int] = {}
     for lam, c in exp.coeffs.items():
-        if sum(lam) > trunc.max_degree and exp.basis != "g":
-            continue
-        if exp.basis == "m":
-            term = SymFunc({lam: 1}, trunc)
-        elif exp.basis == "s":
+        if exp.basis == "s":
             term = schur_to_m(lam, trunc)
-        elif exp.basis in ("e", "h"):
+        elif exp.basis in ("m", "e", "h"):
             term = basis_element(exp.basis, lam, trunc)
         elif exp.basis == "g":
             term = dual_g(SkewShape(lam, EMPTY), trunc)
@@ -245,12 +233,9 @@ def expansion_to_symfunc(exp: BasisExpansion,
     return SymFunc(total, trunc)
 
 
-def to_schur_expansion(exp: BasisExpansion,
-                       trunc: TruncationProfile | None = None) -> BasisExpansion:
+def to_schur_expansion(exp: BasisExpansion) -> BasisExpansion:
     """Convert any basis expansion to the Schur basis, degree by degree."""
-    if exp.basis == "s" and (trunc is None or trunc == exp.trunc):
-        return exp
-    return m_to_schur(expansion_to_symfunc(exp, trunc))
+    return m_to_schur(expansion_to_symfunc(exp))
 
 
 @functools.cache
@@ -258,9 +243,7 @@ def _h_expansion(basis: str, key: Partition, trunc: TruncationProfile
                  ) -> tuple[tuple[Partition, int], ...]:
     """The h-expansion of the basis element b_key realized at ``trunc``;
     empty when key does not fit the profile (for g, raises)."""
-    # held at its own degree, a key above the cap reaches the realization
-    term = expansion_to_symfunc(
-        BasisExpansion(basis, {key: 1}, TruncationProfile(sum(key))), trunc)
+    term = expansion_to_symfunc(BasisExpansion(basis, {key: 1}, trunc))
     return tuple(m_to_h(term).coeffs.items())
 
 
@@ -272,10 +255,10 @@ def skew_by(f: BasisExpansion, a: SymFunc) -> SymFunc:
     f = sum_gamma c_gamma h_gamma gives the coefficient of m_beta in the
     result as sum_gamma c_gamma [m_{gamma u beta}] a: the h-expansion fh
     pairs against the operand's coproduct, reading only the gammas fh
-    has.  fh sums one cached h-expansion per key of f, realized at a's
-    profile, so a G-basis f is truncated there and keys above the cap
-    drop out, while a g key above the cap raises ValueError.  Satisfies
-    the adjunction <g, skew_by(f, a)> = <f g, a>.
+    has.  fh sums one cached h-expansion per key of f, each key taken as
+    a ``BasisExpansion`` at a's profile: a key above a's cap drops out,
+    except a g key, which raises ValueError.  Satisfies the adjunction
+    <g, skew_by(f, a)> = <f g, a>.
     """
     fh: dict[Partition, int] = {}
     for key, c in f.coeffs.items():

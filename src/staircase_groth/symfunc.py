@@ -55,11 +55,15 @@ class TruncationProfile:
         return cls(d)
 
 
-def _clean(coeffs: dict, trunc: TruncationProfile) -> dict:
+def _clean(coeffs: dict, trunc: TruncationProfile, basis: str = "m") -> dict:
+    """The nonzero coefficients, under the cap rule of ``BasisExpansion``."""
     out = {}
     for lam, c in coeffs.items():
         lam = tuple(lam)
         if c == 0 or sum(lam) > trunc.max_degree:
+            if c and basis == "g":
+                raise ValueError(
+                    f"g key {lam} exceeds max_degree {trunc.max_degree}")
             continue
         out[lam] = c
     return out
@@ -249,7 +253,12 @@ def schur_to_m(lam: Partition, trunc: TruncationProfile) -> SymFunc:
 
 @dataclass(frozen=True)
 class BasisExpansion:
-    """Finite integer expansion in a named basis, under a profile."""
+    """Finite integer expansion in a named basis, under a profile.
+
+    A key above the cap is dropped, as m, s, e, h and G elements have no
+    degree below |lam|.  A g key there raises ValueError: g_lam starts at
+    degree lam_1.
+    """
 
     basis: str
     coeffs: dict  # Partition -> int
@@ -258,7 +267,7 @@ class BasisExpansion:
     def __post_init__(self):
         if self.basis not in BASES:
             raise ValueError(f"unknown basis {self.basis!r}; expected one of {BASES}")
-        object.__setattr__(self, "coeffs", _clean(self.coeffs, self.trunc))
+        object.__setattr__(self, "coeffs", _clean(self.coeffs, self.trunc, self.basis))
 
 
 def m_to_schur(f: SymFunc) -> BasisExpansion:
@@ -318,16 +327,15 @@ def _multiset_splits(lam: Partition) -> Iterator[tuple[Partition, Partition]]:
     yield from rec(0, EMPTY, EMPTY)
 
 
-def split_alphabets(f: SymFunc, a: int, b: int) -> dict:
-    """Coefficients of m_alpha(x) m_beta(y) in f(x_1..x_a, y_1..y_b).
+def split_alphabets(f: SymFunc) -> dict:
+    """Coefficients of m_alpha(x) m_beta(y) in f(x, y).
 
     A monomial function splits over two alphabets by distributing its
     parts: m_lam(x, y) = sum over multiset splits alpha ++ beta = lam of
-    m_alpha(x) m_beta(y), which is f's coproduct cut to the lengths.
+    m_alpha(x) m_beta(y), which is f's coproduct.
     """
     return {(alpha, beta): c
-            for alpha, pairs in f.coproduct.items() if len(alpha) <= a
-            for beta, c in pairs if len(beta) <= b}
+            for alpha, pairs in f.coproduct.items() for beta, c in pairs}
 
 
 @functools.cache

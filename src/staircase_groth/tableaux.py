@@ -19,12 +19,14 @@ deterministic order.  ``count_fillings``, ``content_counts`` and
 ``signed_svt_counts`` count fillings with an exact content vector, for
 all three families, by one chain decomposition (the region holding
 values <= i grows through a nested sequence of partitions), which must
-agree with filtering the naive stream and is tested to.
+agree with filtering the naive stream and is tested to.  An svt's sign
+(-1)^(|T| - |shape|) is fixed by its content, of size |T|, so the svt
+table holds signed counts and a plain count is their absolute value.
 
-Every such count reads one table per outer shape and kind, cached per
-process: one backward walk from the top state, over the chain
-transitions inverted, yields the coefficients of every inner shape
-containing the table's root at once, up to its extra degree (the
+Every such count reads one table per outer shape and kind (ssyt, rpp,
+svt), cached per process: one backward walk from the top state, over
+the chain transitions inverted, yields the coefficients of every inner
+shape containing the table's root at once, up to its extra degree (the
 content size past the cell count; always 0 for ssyt and rpp, whose
 tables hold every content).  The first request of a kind builds it at
 its own inner shape and extra degree.  A request the table does not
@@ -48,6 +50,7 @@ and ``iter_lattice_fillings`` rebuilds them as ``SetFilling`` objects.
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 from math import comb
 from types import MappingProxyType
@@ -299,7 +302,7 @@ def enumerate_fillings(shape: SkewShape, kind: str, max_entry: int,
 # k-subsets of the rows where tau stops short of its bound, and each adds
 # |tau/a| + k to the content.  Each open cell contributes a factor of -1,
 # and the total number of open events over a filling is |T| - |shape|, so
-# the signed tables produce the signed content coefficients directly.
+# the svt tables produce the signed content coefficients directly.
 
 
 def _walk(a: Word, outer: Partition, strip: bool,
@@ -329,10 +332,6 @@ def _walk(a: Word, outer: Partition, strip: bool,
     return layer
 
 
-_SIGNED_SVT = "signed_svt"
-_UNIT = (SSYT, RPP)  # kinds whose transitions all have multiplier 1
-
-
 class _ChainTables:
     """Exact-content counts of every skew shape with one outer shape.
 
@@ -340,8 +339,8 @@ class _ChainTables:
     sigma[r] * base**r; the chains of outer/inner run from the code of
     inner to the code of outer.  What leaves a state does not depend on
     the inner shape, so all shapes with this outer share one table per
-    kind (ssyt, rpp, plain svt, and signed svt, whose transitions carry
-    the sign of the open-cell events).
+    kind: ssyt, rpp and svt, whose transitions carry the sign of the
+    open-cell events; nothing cancels, as the content fixes the sign.
 
     ``back[kind]`` is (root, extra degree, table), where ``table[i]``
     maps each content to the count of outer/i, for every state i that
@@ -370,16 +369,15 @@ class _ChainTables:
 
     def _edges(self, kind: str, i: int) -> Iterator[tuple[int, int, int]]:
         """The transitions out of state i, as (end state, weight,
-        multiplier)."""
-        sign = -1 if kind == _SIGNED_SVT else 1
+        multiplier); only svt has multipliers other than 1."""
         for j, _, w, free in _walk(self._parts(i), self.outer, kind != RPP,
                                    self.base):
-            if kind in _UNIT:
+            if kind != SVT:
                 if w:
                     yield j, w, 1
                 continue
             for k in range(not w, free + 1):
-                yield j, w + k, comb(free, k) * sign ** k
+                yield j, w + k, comb(free, k) * (-1) ** k
 
     def _step(self, kind: str, live: dict[int, int], v: int,
               rows: dict[int, dict[int, list]], room: int) -> dict[int, int]:
@@ -387,7 +385,7 @@ class _ChainTables:
         over the given transitions by weight; for svt, whose lists of
         transitions ascend by state size, only states of size at most
         ``room``."""
-        unit = kind in _UNIT
+        unit = kind != SVT
         nxt: dict[int, int] = {}
         get = nxt.get
         for i, n in live.items():
@@ -407,7 +405,7 @@ class _ChainTables:
         """Counts of outer/inner by content, holding at least the contents
         of size at most ``size`` (for ssyt and rpp, every content)."""
         code = self.code(inner)
-        extra = 0 if kind in _UNIT else size - sum(self.outer) + sum(inner)
+        extra = size - sum(self.outer) + sum(inner) if kind == SVT else 0
         # the table holds exactly the states containing its root; with no
         # table yet, the empty one covers nothing and the request roots it
         root, fits, table = self.back.get(kind, (inner, extra, {}))
@@ -418,9 +416,6 @@ class _ChainTables:
             table = self._backward(kind, root, fits)
             self.back[kind] = root, fits, table
         return table[code]
-
-    def count(self, kind: str, inner: Partition, content: Partition) -> int:
-        return self.coeffs(kind, inner, sum(content)).get(content, 0)
 
     def sweep(self, kind: str, inner: Partition,
               budget: int) -> dict[Partition, int]:
@@ -451,7 +446,7 @@ class _ChainTables:
         A suffix stops growing once its next part passes the heaviest
         transition into any of its live states.
         """
-        unit = kind in _UNIT
+        unit = kind != SVT
         limit = sum(self.outer) + extra
         # every partition between root and outer, without the strip rule
         states = [j for j, *_ in _walk(self._parts(self.code(root)),
@@ -480,8 +475,6 @@ class _ChainTables:
                 continue
             frame[3] = v + 1
             nxt = self._step(kind, bwd, v, preds, limit - used)
-            if not unit:
-                nxt = {i: c for i, c in nxt.items() if c}
             if nxt:
                 t = (v,) + content
                 for i, c in nxt.items():
@@ -513,7 +506,8 @@ def count_fillings(shape: SkewShape, kind: str, content: Partition,
     total = sum(content) if kind == SVT else shape.size()
     if max_total_size is not None and total > max_total_size:
         return 0
-    return _chain(shape.outer).count(kind, shape.inner, content)
+    counts = _chain(shape.outer).coeffs(kind, shape.inner, sum(content))
+    return abs(counts.get(content, 0))
 
 
 def content_counts(shape: SkewShape, kind: str, *,
@@ -523,7 +517,7 @@ def content_counts(shape: SkewShape, kind: str, *,
     Contents of every length are counted, as over an unbounded alphabet.
     ``max_total_size`` bounds |T|: the cell count for ssyt and rpp, the
     content size for svt, where it is required (the svt table grows with
-    it).
+    it).  The svt counts are the absolute values of ``signed_svt_counts``.
     """
     _check_kind(kind)
     if kind == SVT and max_total_size is None:
@@ -532,7 +526,8 @@ def content_counts(shape: SkewShape, kind: str, *,
     if max_total_size is not None and max_total_size < n:
         return {}
     budget = max_total_size if kind == SVT else n
-    return _chain(shape.outer).sweep(kind, shape.inner, budget)
+    counts = _chain(shape.outer).sweep(kind, shape.inner, budget)
+    return {t: abs(c) for t, c in counts.items()} if kind == SVT else counts
 
 
 def signed_svt_counts(shape: SkewShape, *,
@@ -540,10 +535,10 @@ def signed_svt_counts(shape: SkewShape, *,
     """Signed svt content coefficients: sum of (-1)^(|T| - |shape|) over
     fillings with the given exact content, keyed by content partition.
 
-    Computed by the signed chain tables; must agree with (and is tested
-    against) signing the plain counts from the naive stream.
+    Read straight from the svt chain table; must agree with (and is
+    tested against) signing each filling of the naive stream by its size.
     """
-    return _chain(shape.outer).sweep(_SIGNED_SVT, shape.inner, max_total_size)
+    return _chain(shape.outer).sweep(SVT, shape.inner, max_total_size)
 
 
 # ---------------------------------------------------------------------------
@@ -566,12 +561,18 @@ def _lattice_backtrack(shape: SkewShape, total: int, content: Partition | None
 
     With a content only that content is searched, and letters past its
     parts are never tried; with none, every content of that size is.
+    It nests a call per cell and per letter, so it raises ValueError past
+    half the recursion limit, leaving the rest to its callers.
     """
     order, right, above = _reading_order(shape)
     ncells = len(order)
     out: dict[Partition, list[tuple[Word, ...]]] = {}
     if total < ncells:
         return out
+    depth = sys.getrecursionlimit() // 2
+    if ncells + total > depth:
+        raise ValueError(f"a lattice search over {ncells} cells and {total} "
+                         f"letters passes the depth bound {depth}")
     # with no content no letter count can reach the bound
     bound = content if content is not None else (total,) * total
     L = len(bound)

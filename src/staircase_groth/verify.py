@@ -411,8 +411,7 @@ def verify_hopf(n: int = 3, max_degree: int | None = None,
     if "delta-g" in include:
         for lam in _sorted_partitions(min(n + 1, 5)):
             p = TruncationProfile.for_degree(max(sum(lam), 1))
-            d = p.max_degree
-            lhs = sf.split_alphabets(gr.dual_g(SkewShape(lam, EMPTY), p), d, d)
+            lhs = sf.split_alphabets(gr.dual_g(SkewShape(lam, EMPTY), p))
             rhs: dict = {}
             for mu in subpartitions(lam):
                 gx = gr.dual_g(SkewShape(mu, EMPTY), p).coeffs

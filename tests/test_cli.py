@@ -201,6 +201,19 @@ def test_verify_usage_errors_print_no_traceback(capsys):
                    "in 1..6, got 9\n")
 
 
+def test_deep_lattice_searches_exit_2_without_traceback(capsys):
+    # unchecked, a one-row search of 500 cells overflows the interpreter
+    # stack
+    for argv in (("coeff", "--family", "alpha", "--shape", "600",
+                  "--content", "600"),
+                 ("coeff", "--family", "c", "--nu", "400", "--mu", "400",
+                  "--target", "800")):
+        code, out = cli(*argv)
+        assert code == 2 and out == "", argv
+        err = capsys.readouterr().err
+        assert "depth bound" in err and "Traceback" not in err, argv
+
+
 def test_vars_is_not_an_option(capsys):
     # a profile is its degree cap: no command takes a variable count
     for argv in (("compute", "--kind", "g", "--shape", "2,1", "--vars", "4"),

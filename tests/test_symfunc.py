@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from staircase_groth.grothendieck import _h_expansion
 from staircase_groth.shapes import EMPTY, partitions_of
 from staircase_groth.symfunc import (
+    BASES,
     BasisExpansion,
     SymFunc,
     TruncationProfile,
@@ -169,21 +170,16 @@ def test_h_m_duality_oracle():
 
 
 def test_split_alphabets_examples():
-    assert split_alphabets(m((1,)), 6, 6) == \
+    assert split_alphabets(m((1,))) == \
         {((1,), EMPTY): 1, (EMPTY, (1,)): 1}
     e2 = basis_element("e", (2,), P6)
-    assert split_alphabets(e2, 6, 6) == \
+    assert split_alphabets(e2) == \
         {((1, 1), EMPTY): 1, ((1,), (1,)): 1, (EMPTY, (1, 1)): 1}
     # h_2 = m_2 + m_11 splits key by key
     h2 = basis_element("h", (2,), P6)
-    assert split_alphabets(h2, 6, 6) == {
+    assert split_alphabets(h2) == {
         ((2,), EMPTY): 1, ((1, 1), EMPTY): 1, ((1,), (1,)): 1,
         (EMPTY, (2,)): 1, (EMPTY, (1, 1)): 1}
-
-
-def test_split_alphabets_respects_var_bounds():
-    e2 = basis_element("e", (2,), P6)
-    assert split_alphabets(e2, 1, 1) == {((1,), (1,)): 1}
 
 
 def _splits_by_combinations(lam):
@@ -225,13 +221,11 @@ def test_coproduct_sums_the_splits_of_each_key(terms):
 def test_split_alphabets_matches_combinations():
     f = (basis_element("h", (3, 1), P6) - basis_element("e", (2, 2), P6)
          + m((2, 1, 1, 1)).scale(3))
-    for a, b in ((6, 6), (2, 3), (1, 1)):
-        want = {}
-        for lam, c in f.coeffs.items():
-            for key in set(_splits_by_combinations(lam)):
-                if len(key[0]) <= a and len(key[1]) <= b:
-                    want[key] = want.get(key, 0) + c
-        assert split_alphabets(f, a, b) == want
+    want = {}
+    for lam, c in f.coeffs.items():
+        for key in set(_splits_by_combinations(lam)):
+            want[key] = want.get(key, 0) + c
+    assert split_alphabets(f) == want
 
 
 def test_split_is_multiplicative():
@@ -242,8 +236,8 @@ def test_split_is_multiplicative():
         (basis_element("h", (3,), P6), basis_element("h", (2,), P6)),
     ]
     for f, g in pairs:
-        lhs = split_alphabets(multiply(f, g), 6, 6)
-        sf_, sg_ = split_alphabets(f, 6, 6), split_alphabets(g, 6, 6)
+        lhs = split_alphabets(multiply(f, g))
+        sf_, sg_ = split_alphabets(f), split_alphabets(g)
         rhs = {}
         for (a1, b1), c1 in sf_.items():
             fa = SymFunc({a1: 1}, P6)
@@ -335,3 +329,18 @@ def test_basis_expansion_validation():
         BasisExpansion("q", {}, P6)
     exp = BasisExpansion("g", {(2, 1): 1, (1,): 0}, P6)
     assert exp.coeffs == {(2, 1): 1}
+
+
+@pytest.mark.parametrize("basis", BASES)
+def test_basis_expansion_truncation_rule(basis):
+    # keys at the cap stay; a key above it is dropped where its element has
+    # no degree up to the cap, and raises in the g basis, where it has
+    p2 = TruncationProfile(2)
+    at_cap = {(2,): 3, (1, 1): -1, (1,): 2}
+    assert BasisExpansion(basis, at_cap, p2).coeffs == at_cap
+    above = {(2, 1): 1, (1,): 2}
+    if basis == "g":
+        with pytest.raises(ValueError, match="exceeds max_degree 2"):
+            BasisExpansion(basis, above, p2)
+    else:
+        assert BasisExpansion(basis, above, p2).coeffs == {(1,): 2}

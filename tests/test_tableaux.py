@@ -1,5 +1,6 @@
 import gc
 import itertools
+import sys
 from collections import Counter
 
 import pytest
@@ -262,13 +263,14 @@ def stream_counts(shape, m):
 
 def engine_requests(shape, extra=2):
     """The four sweeps, as (table kind, request extra degree, call); the
-    svt sweeps are capped at |shape| + extra."""
+    plain and signed svt sweeps read one table, capped at |shape| +
+    extra."""
     cap = shape.size() + extra
     return ((SSYT, 0, lambda: tb.content_counts(shape, SSYT)),
             (RPP, 0, lambda: tb.content_counts(shape, RPP)),
             (SVT, extra,
              lambda: tb.content_counts(shape, SVT, max_total_size=cap)),
-            (tb._SIGNED_SVT, extra,
+            (SVT, extra,
              lambda: tb.signed_svt_counts(shape, max_total_size=cap)))
 
 
@@ -313,8 +315,8 @@ TABLE_SITUATIONS = ("cold", "warm", "smaller extra", "other root")
 def test_backward_tables_match_stream(situation, shape, m, data):
     # the request has extra degree 2 for plain and signed svt and 0 for
     # ssyt and rpp; "warm" builds every table first from an inner shape
-    # inside the request's at extra 2 or 3, "smaller extra" at 0 or 1 (both
-    # svt tables rebuild), "other root" from an inner shape outside the
+    # inside the request's at extra 2 or 3, "smaller extra" at 0 or 1 (the
+    # svt table rebuilds), "other root" from an inner shape outside the
     # request's (every table rebuilds at the meet of the two inner shapes)
     outer, inner = shape.outer, shape.inner
     if situation == "other root":
@@ -347,13 +349,15 @@ def test_backward_tables_match_stream(situation, shape, m, data):
         assert fits == max(first.get(kind, want), want)
         # the table holds no content past its extra degree
         assert max(map(sum, table[code])) <= shape.size() + fits
+        # one table per kind: plain and signed svt share theirs
+        assert set(tables.back) <= set(tb.KINDS)
     # contents of every length: as from tables built by this request
     full = [call() for _, _, call in engine_requests(shape)]
     tb._chain_cache.clear()
     assert full == [call() for _, _, call in engine_requests(shape)]
 
 
-@pytest.mark.parametrize("kind", [SVT, tb._SIGNED_SVT])
+@pytest.mark.parametrize("kind", [SVT])
 @pytest.mark.parametrize("n", [4, 5])
 def test_budget_cut_tables_match_larger_budgets(kind, n):
     # a table built cold at extra e holds, state by state, exactly the
@@ -366,9 +370,14 @@ def test_budget_cut_tables_match_larger_budgets(kind, n):
         wide = tables._backward(kind, EMPTY, extra + 2)
         assert cut.keys() == wide.keys()
         for i, counts in cut.items():
-            limit = sum(outer) - sum(tables._parts(i)) + extra
+            cells = sum(outer) - sum(tables._parts(i))
             assert list(counts.items()) == [
-                (t, c) for t, c in wide[i].items() if sum(t) <= limit], i
+                (t, c) for t, c in wide[i].items()
+                if sum(t) <= cells + extra], i
+            # the content fixes the sign: every entry is nonzero, with
+            # sign (-1)^(|t| - |outer/i|)
+            assert all(c and (c < 0) == (sum(t) - cells) % 2
+                       for t, c in counts.items()), i
 
 
 def test_cold_sweeps_leave_no_cyclic_garbage():
@@ -380,8 +389,7 @@ def test_cold_sweeps_leave_no_cyclic_garbage():
         # degree is larger, so its sweep replaces the table
         tb.signed_svt_counts(shape, max_total_size=10)
         tb.signed_svt_counts(SkewShape(shape.outer, EMPTY), max_total_size=12)
-        assert tb._chain_cache[shape.outer].back[tb._SIGNED_SVT][:2] == (
-            EMPTY, 2)
+        assert tb._chain_cache[shape.outer].back[SVT][:2] == (EMPTY, 2)
 
     sweeps = (lambda: tb.content_counts(shape, RPP),
               lambda: tb.signed_svt_counts(shape, max_total_size=11),
@@ -455,6 +463,19 @@ def test_count_lattice_fillings_examples():
     assert tb.count_lattice_fillings(star_join((1,), (1,)), (2,)) == 1
     assert tb.count_lattice_fillings(star_join((1,), (1,)), (2, 1)) == 1
     assert tb.count_lattice_fillings(SkewShape((1,), EMPTY), (1,)) == 1
+
+
+def test_deep_lattice_searches_are_refused_before_they_start():
+    # the search nests a call per cell and per letter: cells plus letters
+    # past half the recursion limit are refused, and a search at that
+    # bound still runs (lattice-rules n=6 needs at most 27 cells + letters)
+    depth = sys.getrecursionlimit() // 2
+    half = depth // 2
+    assert tb.count_lattice_fillings(SkewShape((half,), EMPTY), (half,)) == 1
+    with pytest.raises(ValueError, match=f"depth bound {depth}"):
+        tb.count_lattice_fillings(SkewShape((half + 1,), EMPTY), (half + 1,))
+    with pytest.raises(ValueError, match=f"depth bound {depth}"):
+        gr.alpha(SkewShape((depth,), EMPTY), (depth,))
 
 
 def test_iter_lattice_fillings_consistent_with_count():
