@@ -24,16 +24,18 @@ agree with filtering the naive stream and is tested to.  An svt's sign
 table holds signed counts and a plain count is their absolute value.
 
 Every such count reads one table per outer shape and kind (ssyt, rpp,
-svt), cached per process: one backward walk from the top state, over
-the chain transitions inverted, yields the coefficients of every inner
-shape containing the table's root at once, up to its extra degree (the
-content size past the cell count; always 0 for ssyt and rpp, whose
-tables hold every content).  The first request of a kind builds it at
-its own inner shape and extra degree.  A request the table does not
-cover rebuilds it once, rooted at the meet of the old root and the
-request's inner shape and at the larger extra degree, so a table only
-ever grows to cover more requests.  Caches are only ever extended or
-replaced with finished, idempotent values.
+svt), cached per process: one backward walk from the top state, over the
+chain transitions inverted, yields the coefficients of every inner shape
+containing the table's root at once, up to its extra degree (the content
+size past the cell count; always 0 for ssyt and rpp, whose tables hold
+every content).  It adds each content's parts largest first, exact as
+every count is symmetric in its content, each part at most the previous
+one, the room left and the heaviest transition into a live state.  The
+first request of a kind builds it at its own inner shape and extra
+degree.  A request the table does not cover rebuilds it once, rooted at
+the meet of the old root and the request's inner shape and at the larger
+extra degree, so a table only ever grows to cover more requests.  Caches
+are only ever extended or replaced with finished, idempotent values.
 
 Lattice fillings (svt whose reverse reading word is a lattice word) come
 from one backtracker over the cells in reading order that checks the
@@ -322,11 +324,15 @@ def _walk(a: Word, outer: Partition, strip: bool,
         # row r - 1 of sigma/a already meets them
         above = a[r - 1] if r else top
         grown = []
+        add = grown.append
         for code, prev, w, free in layer:
-            hi = min(top, above if strip else prev)
-            grown.extend((code + v * scale, v,
-                          w + (v if v < above else above) - lo, free + (v < hi))
-                         for v in range(lo, hi + 1))
+            hi = above if strip else prev
+            if hi > top:
+                hi = top
+            w -= lo
+            for v in range(lo, hi + 1):
+                add((code + v * scale, v, w + (v if v < above else above),
+                     free + (v < hi)))
         layer = grown
         scale *= base
     return layer
@@ -364,20 +370,7 @@ class _ChainTables:
         return sum(x * self.base ** r for r, x in enumerate(p))
 
     def _parts(self, i: int) -> Word:
-        base = self.base
-        return tuple(i // base ** r % base for r in range(len(self.outer)))
-
-    def _edges(self, kind: str, i: int) -> Iterator[tuple[int, int, int]]:
-        """The transitions out of state i, as (end state, weight,
-        multiplier); only svt has multipliers other than 1."""
-        for j, _, w, free in _walk(self._parts(i), self.outer, kind != RPP,
-                                   self.base):
-            if kind != SVT:
-                if w:
-                    yield j, w, 1
-                continue
-            for k in range(not w, free + 1):
-                yield j, w + k, comb(free, k) * (-1) ** k
+        return tuple(i // self.base ** r % self.base for r in range(len(self.outer)))
 
     def _step(self, kind: str, live: dict[int, int], v: int,
               rows: dict[int, dict[int, list]], room: int) -> dict[int, int]:
@@ -406,6 +399,8 @@ class _ChainTables:
         of size at most ``size`` (for ssyt and rpp, every content)."""
         code = self.code(inner)
         extra = size - sum(self.outer) + sum(inner) if kind == SVT else 0
+        if extra < 0:  # every svt content is at least the cell count
+            return {}
         # the table holds exactly the states containing its root; with no
         # table yet, the empty one covers nothing and the request roots it
         root, fits, table = self.back.get(kind, (inner, extra, {}))
@@ -432,54 +427,59 @@ class _ChainTables:
         """Coefficients of outer/i, by content, for every state i that
         contains ``root``, up to contents of size |outer/i| + extra.
 
-        The transfer-matrix method (Stanley, EC1 4.7), run from the top
-        state: the transitions are inverted into predecessor lists, and
-        the contents are walked as a tree of suffixes whose parts weakly
-        increase, each suffix one DP step over the predecessors.  Counts
-        are symmetric in the content, so every live state i at a suffix
-        holds the coefficient of outer/i at that content.  Consumed parts
-        plus |i| never fall along the walk (a step adds at least one to
-        the content per cell it adds), so a step reaches only states of
-        size at most |outer| + extra less the parts consumed: with the
-        states inverted in ascending size, each predecessor list ascends
-        by size, and the step stops at the first one past that budget.
-        A suffix stops growing once its next part passes the heaviest
-        transition into any of its live states.
+        The transfer-matrix method (Stanley, EC1 4.7), run from the top state:
+        the transitions from ``_walk`` are inverted into predecessor lists, and
+        the contents are walked depth-first, largest part first, each part one
+        DP step over the predecessors.  Counts are symmetric in the content, so
+        any order of its parts gives them: every live state i at a content
+        holds the coefficient of outer/i there.  The next part counts down to 1
+        from the least of the previous part, the room left (the budget less the
+        parts consumed) and the heaviest transition into any live state.  In
+        any order, consumed parts plus |i| never fall along an svt walk (a step
+        adds at least one to the content per cell it adds), so a step reaches
+        only states of size at most |outer| + extra less the parts consumed:
+        with the states inverted in ascending size, each predecessor list
+        ascends by size, and the step stops at the first one past that budget.
         """
-        unit = kind != SVT
-        limit = sum(self.outer) + extra
-        # every partition between root and outer, without the strip rule
-        states = [j for j, *_ in _walk(self._parts(self.code(root)),
-                                       self.outer, False, self.base)]
-        size = {i: sum(self._parts(i)) for i in states}
-        states.sort(key=size.get)
+        outer, strip, unit = self.outer, kind != RPP, kind != SVT
+        limit = sum(outer) + extra
+        # every partition between root and outer, decoded once
+        parts = {j: self._parts(j) for j, *_ in _walk(
+            self._parts(self.code(root)), outer, False, self.base)}
+        size = {i: sum(p) for i, p in parts.items()}
+        states = sorted(parts, key=size.get)
         preds: dict[int, dict[int, list]] = {i: {} for i in states}
         for i in states:
-            for j, v, c in self._edges(kind, i):
-                preds[j].setdefault(v, []).append(
-                    i if unit else (i, c, size[i]))
+            for j, _, w, free in _walk(parts[i], outer, strip, self.base):
+                row = preds[j]
+                if not unit:
+                    for k in range(not w, free + 1):
+                        row.setdefault(w + k, []).append(
+                            (i, comb(free, k) * (-1) ** k, size[i]))
+                elif w:
+                    row.setdefault(w, []).append(i)
         heavy = {j: max(row, default=0) for j, row in preds.items()}
         table: dict[int, dict[Partition, int]] = {i: {} for i in states}
         table[self.top] = {EMPTY: 1}
         # no state is smaller than the root
         room = limit - sum(root)
-        # depth-first over the suffixes; a frame is [content, states,
-        # consumed size, next part, heaviest transition into the states]
-        stack = [[EMPTY, {self.top: 1}, 0, 1, heavy[self.top]]]
+        # depth-first; a frame is [content, states, consumed size, next part]
+        stack = [[EMPTY, {self.top: 1}, 0, min(room, heavy[self.top])]]
         while stack:
             frame = stack[-1]
-            content, bwd, used, v, heaviest = frame
-            used += v
-            if used > room or v > heaviest:
+            content, bwd, used, v = frame
+            if v < 1:
                 stack.pop()
                 continue
-            frame[3] = v + 1
+            frame[3] = v - 1
+            used += v
             nxt = self._step(kind, bwd, v, preds, limit - used)
             if nxt:
-                t = (v,) + content
+                t = content + (v,)
                 for i, c in nxt.items():
                     table[i][t] = c
-                stack.append([t, nxt, used, v, max(map(heavy.get, nxt))])
+                stack.append([t, nxt, used,
+                              min(v, room - used, max(map(heavy.get, nxt)))])
         return table
 
 

@@ -1,12 +1,14 @@
 import random
+from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from staircase_groth import grothendieck as gr
 from staircase_groth import symfunc as sf
+from staircase_groth import tableaux as tb
 from staircase_groth.grothendieck import (
     SignedCount,
     alpha,
@@ -112,6 +114,82 @@ def test_degree_grading():
             G = big_G(shape, p)
             assert G.homogeneous_part(d).coeffs == s.coeffs
             assert all(sum(k) >= d for k in G.coeffs)
+
+
+def aitken(lam, mu):
+    """f^{lam/mu}, the standard tableaux of lam/mu, by Aitken's
+    determinant N! det[1/(lam_i - mu_j - i + j)!], in exact arithmetic:
+    a closed form that shares nothing with the chain tables."""
+    ell = len(lam)
+    mu = mu + (0,) * (ell - len(mu))
+    m = [[Fraction(1, factorial(lam[i] - mu[j] - i + j))
+          if lam[i] - mu[j] - i + j >= 0 else Fraction(0)
+          for j in range(ell)] for i in range(ell)]
+    det = Fraction(1)
+    for c in range(ell):
+        pivot = next((r for r in range(c, ell) if m[r][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, ell):
+            f = m[r][c] / m[c][c]
+            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return factorial(sum(lam) - sum(mu)) * det
+
+
+def test_aitken_examples():
+    assert aitken((2, 1), EMPTY) == 2
+    assert aitken((3, 2, 1), EMPTY) == 16
+    assert aitken((2, 2), (1,)) == 2
+    assert aitken((2, 1), (2, 1)) == 1
+
+
+def test_degree_grading_on_the_staircase():
+    # every mu inside rho_6, where the order in which the chain tables
+    # walk their contents matters: the ssyt count at content 1^N is
+    # Aitken's f^{rho/mu}, and s_{rho/mu} is the top degree of g and the
+    # bottom degree of G
+    rho = staircase(6)
+    for mu in subpartitions(rho):
+        shape = SkewShape(rho, mu)
+        d = shape.size()
+        assert tb.count_fillings(shape, tb.SSYT, (1,) * d) == aitken(rho, mu)
+        p = TruncationProfile.for_degree(d + 1)
+        s = schur(shape, p)
+        g = dual_g(shape, p)
+        assert g.homogeneous_part(d).coeffs == s.coeffs
+        assert all(sum(k) <= d for k in g.coeffs)
+        G = big_G(shape, p)
+        assert G.homogeneous_part(d).coeffs == s.coeffs
+        assert all(sum(k) >= d for k in G.coeffs)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kind,extra", [("g", None), ("G", 0), ("G", 1), ("G", 3)])
+def test_staircase_identities_at_n7(kind, extra):
+    # g(rho_7/mu) == g(rho_7/mu') at full degree and G(rho_7/mu) ==
+    # G(rho_7/mu') at |rho_7/mu| + extra, for all 1,430 mu, past the
+    # suites' cap; a few seconds each on 2 vCPUs
+    rho = staircase(7)
+    full = TruncationProfile.for_degree(sum(rho))
+    mus = subpartitions(rho)
+    assert len(mus) == 1430
+    try:
+        for mu in mus:
+            pair = (SkewShape(rho, mu), SkewShape(rho, conjugate(mu)))
+            if kind == "g":
+                lhs, rhs = (dual_g(s, full) for s in pair)
+            else:
+                p = TruncationProfile.for_degree(pair[0].size() + extra)
+                lhs, rhs = (big_G(s, p) for s in pair)
+            assert lhs.coeffs == rhs.coeffs, mu
+    finally:
+        gr._dual_g_cached.cache_clear()
+        gr._big_G_cached.cache_clear()
+        tb._chain_cache.pop(rho, None)
 
 
 def test_big_G_double_examples():

@@ -18,6 +18,7 @@ from staircase_groth.shapes import (
     star_join,
     subpartitions,
 )
+from staircase_groth.symfunc import TruncationProfile
 from staircase_groth.tableaux import RPP, SSYT, SVT, SetFilling
 
 
@@ -380,6 +381,30 @@ def test_budget_cut_tables_match_larger_budgets(kind, n):
                        for t, c in counts.items()), i
 
 
+@pytest.mark.parametrize("kind", tb.KINDS)
+def test_backward_steps_stay_within_the_next_part_bounds(kind, monkeypatch):
+    # the walk tries no part past the heaviest transition into its live
+    # states, and none past the room left to it: every step reads some
+    # predecessor list of weight at least its part, with a budget that
+    # still admits the root; the stream oracles pin what it may not skip
+    steps = []
+    step = tb._ChainTables._step
+
+    def record(self, kind, live, v, rows, room):
+        steps.append((v, max(max(rows[i], default=0) for i in live), room))
+        return step(self, kind, live, v, rows, room)
+
+    monkeypatch.setattr(tb._ChainTables, "_step", record)
+    outer = staircase(5)
+    for root in (EMPTY, (2, 1), (3, 3, 1)):
+        for extra in ((0, 1, 3) if kind == SVT else (0,)):
+            steps.clear()
+            table = tb._ChainTables(outer)._backward(kind, root, extra)
+            assert steps and table
+            for v, heaviest, room in steps:
+                assert 1 <= v <= heaviest and room >= sum(root), (root, extra)
+
+
 def test_cold_sweeps_leave_no_cyclic_garbage():
     # no walk is a reference cycle, so a sweep's dicts die with it
     shape = SkewShape((4, 3, 2, 1), (1,))
@@ -427,6 +452,26 @@ def test_single_counts_match_stream(shape, m):
                                      max_total_size=low) == 0, (kind, t)
         assert tb.content_counts(shape, kind, max_total_size=low) == \
             partition_content_counter(shape, kind, m, low) == {}
+
+
+def test_svt_requests_below_the_cell_count_build_no_table():
+    # every svt content is at least the cell count, so a budget below it
+    # reads nothing: no table is built or cached, and the next request
+    # builds at its own extra degree
+    shape = SkewShape((4, 3, 2, 1), EMPTY)
+    low = (lambda: tb.signed_svt_counts(shape, max_total_size=5) == {},
+           lambda: tb.count_fillings(shape, SVT, (1,)) == 0,
+           lambda: gr.big_G(shape, TruncationProfile(9)).coeffs == {})
+    for request in low:
+        tb._chain_cache.clear()
+        gr._big_G_cached.cache_clear()
+        assert request()
+        assert SVT not in tb._chain_cache[shape.outer].back
+        tb.signed_svt_counts(SkewShape(shape.outer, (1,)), max_total_size=11)
+        assert tb._chain_cache[shape.outer].back[SVT][:2] == ((1,), 2)
+        # a covering table stays as it is
+        assert request()
+        assert tb._chain_cache[shape.outer].back[SVT][:2] == ((1,), 2)
 
 
 def test_svt_content_counts_need_a_cap():
