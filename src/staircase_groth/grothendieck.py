@@ -115,6 +115,12 @@ def big_G_double(outer: Partition, mu: Partition,
     mu = partition(mu)
     if not contains(outer, mu):
         raise ValueError(f"{mu} is not contained in {outer}")
+    return _big_G_double_cached(outer, mu, trunc)
+
+
+@functools.cache
+def _big_G_double_cached(outer: Partition, mu: Partition,
+                         trunc: TruncationProfile) -> SymFunc:
     coeffs: dict[Partition, int] = {}
     for sigma in subpartitions(mu):
         if not classify_strip(SkewShape(mu, sigma)).rook:

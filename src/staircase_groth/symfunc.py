@@ -310,21 +310,30 @@ def hall_inner(f: BasisExpansion, g: BasisExpansion) -> int:
     return sum(c * g.coeffs.get(k, 0) for k, c in f.coeffs.items())
 
 
-def _multiset_splits(lam: Partition) -> Iterator[tuple[Partition, Partition]]:
+def _multiset_splits(lam: Partition) -> list[tuple[Partition, Partition]]:
     """All ways to split the parts of lam into two sub-multisets
-    (gamma, beta), each once."""
-    items = sorted(Counter(lam).items(), reverse=True)
+    (gamma, beta), each once.
 
-    def rec(i: int, a: tuple[int, ...], b: tuple[int, ...]
-            ) -> Iterator[tuple[Partition, Partition]]:
-        if i == len(items):
-            yield a, b
-            return
-        v, mult = items[i]
-        for take in range(mult + 1):
-            yield from rec(i + 1, a + (v,) * take, b + (v,) * (mult - take))
-
-    yield from rec(0, EMPTY, EMPTY)
+    Built run by run of equal parts: each split so far is extended by
+    every way to share the next run, t parts to gamma and the rest to
+    beta, t ascending, so earlier (larger) runs vary slowest.  Raises
+    ValueError when lam is not a partition.
+    """
+    splits = [(EMPTY, EMPTY)]
+    n = len(lam)
+    i = 0
+    while i < n:
+        v = lam[i]
+        j = i + 1
+        while j < n and lam[j] == v:
+            j += 1
+        if v < 1 or (j < n and lam[j] > v):
+            raise ValueError(f"key {lam} is not a partition")
+        run = lam[i:j]
+        shares = [(run[:t], run[t:]) for t in range(j - i + 1)]
+        splits = [(a + x, b + y) for a, b in splits for x, y in shares]
+        i = j
+    return splits
 
 
 def split_alphabets(f: SymFunc) -> dict:
@@ -338,21 +347,41 @@ def split_alphabets(f: SymFunc) -> dict:
             for alpha, pairs in f.coproduct.items() for beta, c in pairs}
 
 
-@functools.cache
-def _inverse_kostka_columns(
-        d: int) -> Mapping[Partition, tuple[tuple[Partition, int], ...]]:
-    """Inverse Kostka numbers of degree d by column: for each nu of d, the
-    pairs (lam, c) with c = [s_nu] m_lam nonzero, lam in the order of
-    ``partitions_of(d)``.
+@dataclass(frozen=True)
+class _InverseKostka:
+    """Inverse Kostka numbers c = [s_nu] m_lam of one degree, nonzero only.
 
-    As h and m are dual, column nu is the h-expansion of s_nu.  Expanding
-    the Jacobi-Trudi determinant s_nu = det(h_{nu_i - i + j}) along its
-    last column gives s_nu = sum_i (-1)^(l - i) h_{nu_i - i + l} s_{nu^(i)},
+    ``columns`` maps nu to its pairs (lam, c), the h-expansion of s_nu,
+    as h and m are dual.  ``rows`` is the transpose, lam to its pairs
+    (nu, c), the Schur expansion of m_lam; it is built on first use, so
+    the smaller degrees that only feed the Jacobi-Trudi recursion never
+    hold it.  Both list their partitions in the order of
+    ``partitions_of``.
+    """
+
+    columns: Mapping[Partition, tuple[tuple[Partition, int], ...]]
+
+    @functools.cached_property
+    def rows(self) -> Mapping[Partition, tuple[tuple[Partition, int], ...]]:
+        rows: dict[Partition, list[tuple[Partition, int]]] = {}
+        for nu, col in self.columns.items():
+            for lam, c in col:
+                rows.setdefault(lam, []).append((nu, c))
+        return MappingProxyType({lam: tuple(r) for lam, r in rows.items()})
+
+
+@functools.cache
+def _inverse_kostka(d: int) -> _InverseKostka:
+    """The inverse Kostka numbers of degree d.
+
+    Expanding the Jacobi-Trudi determinant s_nu = det(h_{nu_i - i + j})
+    along its last column gives
+    s_nu = sum_i (-1)^(l - i) h_{nu_i - i + l} s_{nu^(i)},
     nu^(i) = (nu_1, .., nu_{i-1}, nu_{i+1} - 1, .., nu_l - 1) without
     zeros, so each column adds a part to the keys of smaller columns.
     """
     if d == 0:
-        return MappingProxyType({EMPTY: ((EMPTY, 1),)})
+        return _InverseKostka(MappingProxyType({EMPTY: ((EMPTY, 1),)}))
     order = {lam: i for i, lam in enumerate(partitions_of(d))}
     cols: dict[Partition, tuple[tuple[Partition, int], ...]] = {}
     for nu in order:
@@ -367,7 +396,31 @@ def _inverse_kostka_columns(
                 col[lam] = col.get(lam, 0) + sign * c
         cols[nu] = tuple(sorted(((lam, c) for lam, c in col.items() if c),
                                 key=lambda kv: order[kv[0]]))
-    return MappingProxyType(cols)
+    return _InverseKostka(MappingProxyType(cols))
+
+
+def _inverse_kostka_columns(
+        d: int) -> Mapping[Partition, tuple[tuple[Partition, int], ...]]:
+    """For each nu of d, the pairs (lam, c) with c = [s_nu] m_lam nonzero."""
+    return _inverse_kostka(d).columns
+
+
+def _schur_by_rows(f: SymFunc) -> dict[Partition, int]:
+    """The Schur coefficients of f, summed from the inverse Kostka rows of
+    its keys, in ``m_to_schur``'s order: degrees ascending, each degree
+    lex-descending.  Raises ValueError on a key that is not a partition.
+
+    ``m_to_schur`` peels instead: one Kostka row per Schur key is cheaper
+    than a whole degree's rows when f has few keys of high degree.
+    """
+    out: dict[Partition, int] = {}
+    for lam, c in f.coeffs.items():
+        row = _inverse_kostka(sum(lam)).rows.get(lam)
+        if row is None:
+            raise ValueError(f"key {lam} is not a partition")
+        for nu, k in row:
+            out[nu] = out.get(nu, 0) + c * k
+    return {nu: out[nu] for nu in sorted(out, key=graded_lex_key) if out[nu]}
 
 
 def _pair_with_m(f: SymFunc, schur: dict, basis: str) -> BasisExpansion:
@@ -390,9 +443,9 @@ def m_to_h(f: SymFunc) -> BasisExpansion:
 
     Uses the duality of {h} with {m}: the h_lam coefficient is the Hall
     pairing of f against m_lam, read off the inverse Kostka columns of
-    the Schur support of f.
+    the Schur support of f, which the inverse Kostka rows give.
     """
-    return _pair_with_m(f, m_to_schur(f).coeffs, "h")
+    return _pair_with_m(f, _schur_by_rows(f), "h")
 
 
 def m_to_e(f: SymFunc) -> BasisExpansion:
@@ -401,5 +454,5 @@ def m_to_e(f: SymFunc) -> BasisExpansion:
     Composes the h-expansion with the involution swapping s_lam and its
     conjugate: f = sum c_lam e_lam exactly when omega(f) = sum c_lam h_lam.
     """
-    omega = {conjugate(k): c for k, c in m_to_schur(f).coeffs.items()}
+    omega = {conjugate(k): c for k, c in _schur_by_rows(f).items()}
     return _pair_with_m(f, omega, "e")

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +35,7 @@ from staircase_groth.shapes import (
     subpartitions,
 )
 from staircase_groth.symfunc import BasisExpansion, SymFunc, TruncationProfile
+from staircase_groth.verify import verify_hopf
 
 
 def straight(lam):
@@ -598,12 +600,47 @@ def test_tau_and_tau_bar_are_involutions(shape, extra):
 def test_big_G_double_matches_slow_rook_strip_sum(shape, extra):
     outer, mu = shape.outer, shape.inner
     p = TruncationProfile.for_degree(sum(outer) + extra)
+    assert big_G_double(outer, mu, p).coeffs == slow_rook_strip_sum(outer, mu, p)
+
+
+def slow_rook_strip_sum(outer, mu, p):
     want = SymFunc.zero(p)
     for sigma in subpartitions(mu):
         if is_rook_strip(mu, sigma):
             term = big_G(SkewShape(outer, sigma), p)
             want = want + (-term if (sum(mu) - sum(sigma)) % 2 else term)
-    assert big_G_double(outer, mu, p).coeffs == want.coeffs
+    return want.coeffs
+
+
+def test_big_G_double_is_cached_once_per_input(monkeypatch):
+    # double-sum reads G(rho//sigma) for every sigma inside every mu, and
+    # double-conj reads mu and mu' again: each distinct input misses once
+    cached = gr._big_G_double_cached
+    cached.cache_clear()
+    seen = []
+
+    def spy(outer, mu, trunc):
+        seen.append((outer, mu, trunc))
+        return cached(outer, mu, trunc)
+
+    with monkeypatch.context() as m:
+        m.setattr(gr, "_big_G_double_cached", spy)
+        report = verify_hopf(3, include=("double-sum", "double-conj"))
+    assert report.passed
+    distinct = set(seen)
+    assert len(distinct) == len(subpartitions(staircase(3)))
+    info = cached.cache_info()
+    assert (info.misses, info.hits) == (len(distinct), len(seen) - len(distinct))
+    for outer, mu, trunc in distinct:
+        assert cached(outer, mu, trunc).coeffs == slow_rook_strip_sum(
+            outer, mu, trunc)
+    # a module-level functools.cache: perfbench's clear_caches, which
+    # starts every timed pass cold, finds it and empties it
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import cases
+    cases.clear_caches()
+    assert cached.cache_info().currsize == 0
 
 
 # Randomized oracle for skew_by: the Hall adjunction

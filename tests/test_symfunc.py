@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -13,6 +14,8 @@ from staircase_groth.symfunc import (
     SymFunc,
     TruncationProfile,
     _inverse_kostka_columns,
+    _multiset_splits,
+    _schur_by_rows,
     basis_element,
     hall_inner,
     m_to_e,
@@ -283,6 +286,55 @@ def test_m_to_h_and_m_to_e_realize_back(terms):
         for lam, c in exp.coeffs.items():
             back = back + basis_element(tag, lam, P6).scale(c)
         assert back.coeffs == f.coeffs
+
+
+# keys of the randomized mixed-degree f below: every partition of size <= 9
+_KEYS_9 = list(all_partitions_up_to(9))
+P9 = TruncationProfile(9)
+
+
+# Randomized oracle for the Schur step of m_to_h and m_to_e, read from the
+# inverse Kostka rows: the Kostka peel of m_to_schur reads the ssyt chain
+# tables instead, so it checks the Jacobi-Trudi rows independently.
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.dictionaries(st.sampled_from(_KEYS_9),
+                       st.integers(min_value=-3, max_value=3), max_size=5))
+def test_schur_by_rows_matches_the_kostka_peel(terms):
+    f = SymFunc(terms, P9)
+    # same coefficients in the same order, which m_to_h's output order keeps
+    assert list(_schur_by_rows(f).items()) == \
+        list(m_to_schur(f).coeffs.items())
+    for tag, expand in (("h", m_to_h), ("e", m_to_e)):
+        back = SymFunc.zero(P9)
+        for lam, c in expand(f).coeffs.items():
+            back = back + basis_element(tag, lam, P9).scale(c)
+        assert back.coeffs == f.coeffs
+
+
+@pytest.mark.parametrize("key", [(1, 2), (2, 0), (2, 0, 1), (1, 1, 2)])
+def test_keys_that_are_not_partitions_raise(key):
+    # no key is read as its sorted form, which another key may also be
+    f = SymFunc({key: 1, (1,): 2}, P6)
+    for expand in (m_to_h, m_to_e):
+        with pytest.raises(ValueError, match=re.escape(str(key))):
+            expand(f)
+    with pytest.raises(ValueError, match=re.escape(str(key))):
+        f.coproduct
+    with pytest.raises(ValueError, match=re.escape(str(key))):
+        _multiset_splits(key)
+
+
+def brute_splits(lam):
+    """Every (gamma, beta) from a set of positions, each once, ordered by
+    how many parts of each size gamma takes, largest size first."""
+    sizes = sorted(set(lam), reverse=True)
+    return sorted(set(_splits_by_combinations(lam)),
+                  key=lambda s: [s[0].count(v) for v in sizes])
+
+
+def test_multiset_splits_match_brute_force():
+    for lam in all_partitions_up_to(10):
+        assert _multiset_splits(lam) == brute_splits(lam), lam
 
 
 def test_inverse_kostka_columns_transpose_m_to_schur():
