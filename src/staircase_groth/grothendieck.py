@@ -19,7 +19,8 @@ g and G bases, the conjugation involutions on those bases, and the
 skewing operator (the Hall adjoint of multiplication), computed by the
 duality of the h and m bases: the operator's h-expansion pairs against
 the operand's coproduct (``SymFunc.coproduct``), reading only the splits
-whose left factor is a key of that h-expansion.
+whose left factor is a key of that h-expansion and summing into a list
+indexed by the coproduct's numbered right factors.
 """
 
 from __future__ import annotations
@@ -261,8 +262,10 @@ def skew_by(f: BasisExpansion, a: SymFunc) -> SymFunc:
     f = sum_gamma c_gamma h_gamma gives the coefficient of m_beta in the
     result as sum_gamma c_gamma [m_{gamma u beta}] a: the h-expansion fh
     pairs against the operand's coproduct, reading only the gammas fh
-    has.  fh sums one cached h-expansion per key of f, each key taken as
-    a ``BasisExpansion`` at a's profile: a key above a's cap drops out,
+    has; each split names its beta by index, so the sum runs in a flat
+    list and each beta is hashed once, when the coproduct is built.  fh
+    sums one cached h-expansion per key of f, each key taken as a
+    ``BasisExpansion`` at a's profile: a key above a's cap drops out,
     except a g key, which raises ValueError.  Satisfies the adjunction
     <g, skew_by(f, a)> = <f g, a>.
     """
@@ -270,9 +273,9 @@ def skew_by(f: BasisExpansion, a: SymFunc) -> SymFunc:
     for key, c in f.coeffs.items():
         for gamma, k in _h_expansion(f.basis, key, a.trunc):
             fh[gamma] = fh.get(gamma, 0) + c * k
-    coproduct = a.coproduct
-    out: dict[Partition, int] = {}
+    betas, splits = a.coproduct
+    out = [0] * len(betas)
     for gamma, k in fh.items():
-        for beta, c in coproduct.get(gamma, ()):
-            out[beta] = out.get(beta, 0) + k * c
-    return SymFunc(out, a.trunc)
+        for j, c in splits.get(gamma, ()):
+            out[j] += k * c
+    return SymFunc({betas[j]: c for j, c in enumerate(out) if c}, a.trunc)

@@ -18,7 +18,7 @@ import functools
 from collections import Counter
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from . import tableaux
 from .shapes import (
@@ -69,6 +69,15 @@ def _clean(coeffs: dict, trunc: TruncationProfile, basis: str = "m") -> dict:
     return out
 
 
+class Coproduct(NamedTuple):
+    """A ``SymFunc``'s coproduct with its right factors numbered: ``betas[j]``
+    is the beta of every pair (j, c) in ``splits``, so a reader that
+    accumulates by beta can index a list by j instead of hashing beta."""
+
+    betas: tuple[Partition, ...]
+    splits: Mapping[Partition, tuple[tuple[int, int], ...]]
+
+
 @dataclass(frozen=True)
 class SymFunc:
     """Finite monomial-basis expansion under a truncation profile.
@@ -84,17 +93,21 @@ class SymFunc:
         object.__setattr__(self, "coeffs", _clean(self.coeffs, self.trunc))
 
     @functools.cached_property
-    def coproduct(self
-                  ) -> Mapping[Partition, tuple[tuple[Partition, int], ...]]:
+    def coproduct(self) -> Coproduct:
         """The m-basis coproduct, Delta m_lam = sum over gamma u beta = lam
-        of m_gamma (x) m_beta, indexed by the left factor: each gamma maps
-        to the pairs (beta, c), one per key lam = gamma u beta with
-        coefficient c.  Read-only; built on first use."""
-        out: dict[Partition, list[tuple[Partition, int]]] = {}
+        of m_gamma (x) m_beta, indexed by the left factor and by an
+        integer per right factor: ``betas`` lists each distinct beta once,
+        in first-seen order, and ``splits`` maps each gamma to the pairs
+        (j, c), one per key lam = gamma u betas[j] with coefficient c.
+        Read-only; built on first use."""
+        index: dict[Partition, int] = {}
+        out: dict[Partition, list[tuple[int, int]]] = {}
         for lam, c in self.coeffs.items():
             for gamma, beta in _multiset_splits(lam):
-                out.setdefault(gamma, []).append((beta, c))
-        return MappingProxyType({g: tuple(v) for g, v in out.items()})
+                j = index.setdefault(beta, len(index))
+                out.setdefault(gamma, []).append((j, c))
+        return Coproduct(tuple(index),
+                         MappingProxyType({g: tuple(v) for g, v in out.items()}))
 
     @classmethod
     def zero(cls, trunc: TruncationProfile) -> "SymFunc":
@@ -341,10 +354,12 @@ def split_alphabets(f: SymFunc) -> dict:
 
     A monomial function splits over two alphabets by distributing its
     parts: m_lam(x, y) = sum over multiset splits alpha ++ beta = lam of
-    m_alpha(x) m_beta(y), which is f's coproduct.
+    m_alpha(x) m_beta(y), which is f's coproduct; each beta is read back
+    from the coproduct's index as ``betas[j]``.
     """
-    return {(alpha, beta): c
-            for alpha, pairs in f.coproduct.items() for beta, c in pairs}
+    betas, splits = f.coproduct
+    return {(alpha, betas[j]): c
+            for alpha, pairs in splits.items() for j, c in pairs}
 
 
 @dataclass(frozen=True)

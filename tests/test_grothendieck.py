@@ -5,7 +5,7 @@ from math import comb, factorial
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from staircase_groth import grothendieck as gr
 from staircase_groth import symfunc as sf
@@ -402,21 +402,31 @@ def test_skew_by_g_gives_double_skew_G():
         assert lhs.coeffs == big_G_double(rho, mu, p).coeffs, mu
 
 
-def _skew_uncached(f, a):
-    """skew_by with f's h-expansion taken whole at a's profile and a's keys
-    split by choosing positions of their parts."""
+def _splits_by_combinations(lam):
+    """Every (gamma, beta) from choosing a set of positions of lam's parts,
+    each distinct split once."""
+    idx = range(len(lam))
+    return {(tuple(lam[i] for i in chosen),
+             tuple(lam[i] for i in idx if i not in chosen))
+            for r in range(len(lam) + 1) for chosen in combinations(idx, r)}
+
+
+def _skew_by_splits(f, a):
+    """skew_by's sums, out[beta] += fh[gamma] * c over the splits of each
+    key of a, keyed by beta itself and with zero sums kept; fh is f's
+    h-expansion taken whole at a's profile."""
     fh = sf.m_to_h(expansion_to_symfunc(
         BasisExpansion(f.basis, f.coeffs, a.trunc))).coeffs
     out = {}
     for lam, c in a.coeffs.items():
-        idx = range(len(lam))
-        splits = {(tuple(lam[i] for i in chosen),
-                   tuple(lam[i] for i in idx if i not in chosen))
-                  for r in range(len(lam) + 1)
-                  for chosen in combinations(idx, r)}
-        for gamma, beta in splits:
-            out[beta] = out.get(beta, 0) + fh.get(gamma, 0) * c
-    return SymFunc(out, a.trunc)
+        for gamma, beta in _splits_by_combinations(lam):
+            if gamma in fh:
+                out[beta] = out.get(beta, 0) + fh[gamma] * c
+    return out
+
+
+def _skew_uncached(f, a):
+    return SymFunc(_skew_by_splits(f, a), a.trunc)
 
 
 def test_skew_by_h_cache_is_keyed_by_operand_profile():
@@ -694,3 +704,30 @@ def test_skew_by_matches_hall_adjunction(shape, kind, extra, basis, c, data):
         if v:
             want[nu] = v
     assert sf.m_to_schur(got).coeffs == want
+
+
+_KEYS_6 = list(all_partitions_up_to(6))
+P6 = TruncationProfile(6)
+
+
+# Randomized oracle for skew_by's indexed pairing: the sums taken straight
+# from the splits of a's keys.  Operands have several keys of mixed degree,
+# f several keys in any basis; the explicit example cancels: h_1 - h_2
+# skews both m_21 and m_11 to m_1, with opposite signs.
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.sampled_from(sf.BASES),
+       st.dictionaries(st.sampled_from(_KEYS_6), st.sampled_from(_COEFFS),
+                       min_size=1, max_size=3),
+       st.dictionaries(st.sampled_from(_KEYS_6), st.sampled_from(_COEFFS),
+                       min_size=1, max_size=6))
+@example("h", {(1,): 1, (2,): -1}, {(2, 1): 1, (1, 1): 1})
+def test_skew_by_matches_splits_of_each_key(basis, f_terms, a_terms):
+    f = BasisExpansion(basis, f_terms, P6)
+    a = SymFunc(a_terms, P6)
+    want = _skew_by_splits(f, a)
+    got = skew_by(f, a)
+    assert got.trunc == P6
+    assert got.coeffs == {beta: c for beta, c in want.items() if c}
+    assert 0 not in got.coeffs.values()
+    if basis == "h" and f_terms == {(1,): 1, (2,): -1}:
+        assert want[(1,)] == 0 and (1,) not in got.coeffs

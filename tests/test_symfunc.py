@@ -194,14 +194,26 @@ def _splits_by_combinations(lam):
                    tuple(lam[i] for i in idx if i not in chosen))
 
 
+def _check_beta_index(cop):
+    """betas holds each right factor once, and the splits reference
+    every index, each in range."""
+    betas, splits = cop
+    assert isinstance(betas, tuple)
+    assert len(betas) == len(set(betas))
+    used = {j for pairs in splits.values() for j, _ in pairs}
+    assert all(0 <= j < len(betas) for j in used)
+    assert used == set(range(len(betas)))
+
+
 def test_coproduct_matches_combinations():
     for lam in all_partitions_up_to(8):
         cop = SymFunc({lam: 1}, P8).coproduct
-        got = [(gamma, beta) for gamma, pairs in cop.items()
-               for beta, c in pairs]
+        _check_beta_index(cop)
+        got = [(gamma, cop.betas[j]) for gamma, pairs in cop.splits.items()
+               for j, c in pairs]
         assert len(got) == len(set(got))
         assert set(got) == set(_splits_by_combinations(lam))
-        assert all(c == 1 for pairs in cop.values() for _, c in pairs)
+        assert all(c == 1 for pairs in cop.splits.values() for _, c in pairs)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -214,11 +226,12 @@ def test_coproduct_sums_the_splits_of_each_key(terms):
         for gamma, beta in set(_splits_by_combinations(lam)):
             want.setdefault(gamma, {})[beta] = c
     cop = f.coproduct
-    assert set(cop) == set(want)
-    for gamma, pairs in cop.items():
+    _check_beta_index(cop)
+    assert set(cop.splits) == set(want)
+    for gamma, pairs in cop.splits.items():
         assert isinstance(pairs, tuple)
         assert len(pairs) == len(want[gamma])
-        assert dict(pairs) == want[gamma]
+        assert {cop.betas[j]: c for j, c in pairs} == want[gamma]
 
 
 def test_split_alphabets_matches_combinations():
@@ -361,10 +374,14 @@ def test_cached_tables_are_read_only():
         cols[(3,)].append(((3,), 1))
     cop = SymFunc({(2, 1): 1, (1,): 2}, P6).coproduct
     with pytest.raises(TypeError):
-        cop[(5,)] = ()
-    assert all(isinstance(pairs, tuple) for pairs in cop.values())
+        cop.splits[(5,)] = ()
+    assert all(isinstance(pairs, tuple) for pairs in cop.splits.values())
     with pytest.raises(AttributeError):
-        cop[(1,)].append(((), 1))
+        cop.splits[(1,)].append((0, 1))
+    with pytest.raises(AttributeError):
+        cop.betas.append((5,))
+    with pytest.raises(AttributeError):
+        cop.betas = ()
     h = _h_expansion("G", (2, 1), P6)
     assert isinstance(h, tuple)
     assert all(isinstance(term, tuple) for term in h)
