@@ -247,11 +247,13 @@ def to_schur_expansion(exp: BasisExpansion) -> BasisExpansion:
 
 @functools.cache
 def _h_expansion(basis: str, key: Partition, trunc: TruncationProfile
-                 ) -> tuple[tuple[Partition, int], ...]:
-    """The h-expansion of the basis element b_key realized at ``trunc``;
-    empty when key does not fit the profile (for g, raises)."""
+                 ) -> tuple[tuple[Partition, ...], tuple[int, ...]]:
+    """The h-expansion of the basis element b_key realized at ``trunc``,
+    as parallel tuples (gammas, coeffs); both empty when key does not fit
+    the profile (for g, raises)."""
     term = expansion_to_symfunc(BasisExpansion(basis, {key: 1}, trunc))
-    return tuple(m_to_h(term).coeffs.items())
+    coeffs = m_to_h(term).coeffs
+    return tuple(coeffs), tuple(coeffs.values())
 
 
 def skew_by(f: BasisExpansion, a: SymFunc) -> SymFunc:
@@ -260,22 +262,24 @@ def skew_by(f: BasisExpansion, a: SymFunc) -> SymFunc:
     Skewing by f is (<f, .> (x) id) applied to the coproduct of a.  The h
     and m bases are dual under the Hall inner product, so writing
     f = sum_gamma c_gamma h_gamma gives the coefficient of m_beta in the
-    result as sum_gamma c_gamma [m_{gamma u beta}] a: the h-expansion fh
-    pairs against the operand's coproduct, reading only the gammas fh
-    has; each split names its beta by index, so the sum runs in a flat
-    list and each beta is hashed once, when the coproduct is built.  fh
-    sums one cached h-expansion per key of f, each key taken as a
+    result as sum_gamma c_gamma [m_{gamma u beta}] a: each key of f
+    pairs its cached h-expansion against the operand's coproduct,
+    reading only the gammas that expansion has; each split names its
+    beta by index, so the sum runs in a flat list and each beta is
+    hashed once, when the coproduct is built.  Each key is taken as a
     ``BasisExpansion`` at a's profile: a key above a's cap drops out,
     except a g key, which raises ValueError.  Satisfies the adjunction
     <g, skew_by(f, a)> = <f g, a>.
     """
-    fh: dict[Partition, int] = {}
-    for key, c in f.coeffs.items():
-        for gamma, k in _h_expansion(f.basis, key, a.trunc):
-            fh[gamma] = fh.get(gamma, 0) + c * k
     betas, splits = a.coproduct
     out = [0] * len(betas)
-    for gamma, k in fh.items():
-        for j, c in splits.get(gamma, ()):
-            out[j] += k * c
+    for key, c in f.coeffs.items():
+        gammas, ks = _h_expansion(f.basis, key, a.trunc)
+        for gamma, k in zip(gammas, ks):
+            js_cs = splits.get(gamma)
+            if js_cs is not None:
+                kc = k * c
+                js, cs = js_cs
+                for j, cj in zip(js, cs):
+                    out[j] += kc * cj
     return SymFunc({betas[j]: c for j, c in enumerate(out) if c}, a.trunc)

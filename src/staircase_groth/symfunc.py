@@ -70,12 +70,17 @@ def _clean(coeffs: dict, trunc: TruncationProfile, basis: str = "m") -> dict:
 
 
 class Coproduct(NamedTuple):
-    """A ``SymFunc``'s coproduct with its right factors numbered: ``betas[j]``
-    is the beta of every pair (j, c) in ``splits``, so a reader that
-    accumulates by beta can index a list by j instead of hashing beta."""
+    """A ``SymFunc``'s coproduct with its right factors numbered.
+
+    ``splits`` maps each left factor gamma to two parallel tuples
+    (js, cs): the i-th split is gamma (x) betas[js[i]] with coefficient
+    cs[i].  A reader that accumulates by beta indexes a list by j instead
+    of hashing beta, and the splits cost two tuple slots each, not a
+    tuple of their own.
+    """
 
     betas: tuple[Partition, ...]
-    splits: Mapping[Partition, tuple[tuple[int, int], ...]]
+    splits: Mapping[Partition, tuple[tuple[int, ...], tuple[int, ...]]]
 
 
 @dataclass(frozen=True)
@@ -97,17 +102,20 @@ class SymFunc:
         """The m-basis coproduct, Delta m_lam = sum over gamma u beta = lam
         of m_gamma (x) m_beta, indexed by the left factor and by an
         integer per right factor: ``betas`` lists each distinct beta once,
-        in first-seen order, and ``splits`` maps each gamma to the pairs
-        (j, c), one per key lam = gamma u betas[j] with coefficient c.
-        Read-only; built on first use."""
+        in first-seen order, and ``splits`` maps each gamma to the
+        parallel tuples (js, cs), one entry per key lam = gamma u
+        betas[j] with coefficient c.  Read-only; built on first use."""
         index: dict[Partition, int] = {}
-        out: dict[Partition, list[tuple[int, int]]] = {}
+        out: dict[Partition, tuple[list[int], list[int]]] = {}
         for lam, c in self.coeffs.items():
             for gamma, beta in _multiset_splits(lam):
-                j = index.setdefault(beta, len(index))
-                out.setdefault(gamma, []).append((j, c))
-        return Coproduct(tuple(index),
-                         MappingProxyType({g: tuple(v) for g, v in out.items()}))
+                js_cs = out.get(gamma)
+                if js_cs is None:
+                    js_cs = out[gamma] = ([], [])
+                js_cs[0].append(index.setdefault(beta, len(index)))
+                js_cs[1].append(c)
+        return Coproduct(tuple(index), MappingProxyType(
+            {g: (tuple(js), tuple(cs)) for g, (js, cs) in out.items()}))
 
     @classmethod
     def zero(cls, trunc: TruncationProfile) -> "SymFunc":
@@ -184,7 +192,13 @@ def _m_product(lam: Partition, mu: Partition) -> tuple[tuple[Partition, int], ..
 
     The coefficient of m_nu counts pairs of arrangements of lam and mu
     whose slotwise sum equals nu itself (the weakly decreasing monomial).
+    Raises ValueError when lam or mu is not a partition, which would
+    otherwise be read as its multiset of parts.
     """
+    for key in (lam, mu):
+        if any(v < 1 for v in key) or any(
+                a < b for a, b in zip(key, key[1:])):
+            raise ValueError(f"key {key} is not a partition")
     if graded_lex_key(lam) > graded_lex_key(mu):
         lam, mu = mu, lam
     length = len(lam) + len(mu)
@@ -359,7 +373,7 @@ def split_alphabets(f: SymFunc) -> dict:
     """
     betas, splits = f.coproduct
     return {(alpha, betas[j]): c
-            for alpha, pairs in splits.items() for j, c in pairs}
+            for alpha, (js, cs) in splits.items() for j, c in zip(js, cs)}
 
 
 @dataclass(frozen=True)

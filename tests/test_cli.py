@@ -393,7 +393,7 @@ def test_golden_output_is_byte_identical():
 
 @pytest.mark.slow
 def test_hopf_n5_json_is_byte_identical():
-    # about 10 s and 215 MB on 2 vCPUs; deselected unless run with -m slow
+    # about 8 s and 160 MB on 2 vCPUs; deselected unless run with -m slow
     code, out = cli("verify", "--suite", "hopf", "--n", "5",
                     "--format", "json")
     assert code == 0

@@ -228,6 +228,38 @@ def test_lr_coeff_examples():
                     lr_coeff(nu, (1,) * k, rho).value
 
 
+def _pieri_rows(lam, nu):
+    """The number of nonempty rows of lam/nu when it is a horizontal strip
+    (no column holds two cells), else None."""
+    nu = nu + (0,) * (len(lam) - len(nu))
+    if any(lam[i + 1] > nu[i] for i in range(len(lam) - 1)):
+        return None
+    return sum(1 for a, b in zip(lam, nu) if a > b)
+
+
+def test_lr_coeff_matches_lenart_pieri_rule():
+    # Lenart's K-Pieri rule (Ann. Comb. 4, 2000): G_nu G_(k) is the sum of
+    # (-1)^(|lam/nu| - k) C(r - 1, |lam/nu| - k) G_lam over the lam for
+    # which lam/nu is a horizontal strip over r rows; G_(1^k) follows it
+    # over columns, through the conjugates
+    checks = 0
+    for lam in all_partitions_up_to(8):
+        for nu in subpartitions(lam):
+            m = sum(lam) - sum(nu)
+            for k in range(1, 4):
+                for mu, rows in (((k,), _pieri_rows(lam, nu)),
+                                 ((1,) * k, _pieri_rows(conjugate(lam),
+                                                        conjugate(nu)))):
+                    want = 0
+                    if rows is not None and m >= k:
+                        want = comb(rows - 1, m - k)
+                    got = lr_coeff(nu, mu, lam)
+                    assert (got.value, got.sign_exponent) == (want, m - k), \
+                        (nu, mu, lam)
+                    checks += 1
+    assert checks == 5172
+
+
 def test_alpha_examples():
     shape = SkewShape((2, 1), (1,))
     assert alpha(shape, (2,)).value == 1
@@ -435,7 +467,7 @@ def test_skew_by_h_cache_is_keyed_by_operand_profile():
     large = big_G(straight((2, 1)), p5)
     # (2, 2) is above small's cap, so it drops out there
     f = BasisExpansion("G", {(1,): 1, (2, 2): -2}, p5)
-    assert gr._h_expansion("G", (2, 2), p3) == ()
+    assert gr._h_expansion("G", (2, 2), p3) == ((), ())
     without = BasisExpansion("G", {(1,): 1}, p5)
     for order in ((small, large), (large, small)):
         gr._h_expansion.cache_clear()

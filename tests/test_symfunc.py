@@ -1,13 +1,15 @@
 import dataclasses
+import gc
 import random
 import re
+import tracemalloc
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from staircase_groth.grothendieck import _h_expansion
-from staircase_groth.shapes import EMPTY, partitions_of
+from staircase_groth.grothendieck import _h_expansion, big_G
+from staircase_groth.shapes import EMPTY, SkewShape, partitions_of
 from staircase_groth.symfunc import (
     BASES,
     BasisExpansion,
@@ -195,12 +197,16 @@ def _splits_by_combinations(lam):
 
 
 def _check_beta_index(cop):
-    """betas holds each right factor once, and the splits reference
-    every index, each in range."""
+    """betas holds each right factor once, each gamma's js and cs are
+    parallel tuples, and the splits reference every index, each in
+    range."""
     betas, splits = cop
     assert isinstance(betas, tuple)
     assert len(betas) == len(set(betas))
-    used = {j for pairs in splits.values() for j, _ in pairs}
+    for js, cs in splits.values():
+        assert isinstance(js, tuple) and isinstance(cs, tuple)
+        assert len(js) == len(cs)
+    used = {j for js, _ in splits.values() for j in js}
     assert all(0 <= j < len(betas) for j in used)
     assert used == set(range(len(betas)))
 
@@ -209,11 +215,11 @@ def test_coproduct_matches_combinations():
     for lam in all_partitions_up_to(8):
         cop = SymFunc({lam: 1}, P8).coproduct
         _check_beta_index(cop)
-        got = [(gamma, cop.betas[j]) for gamma, pairs in cop.splits.items()
-               for j, c in pairs]
+        got = [(gamma, cop.betas[j]) for gamma, (js, _) in cop.splits.items()
+               for j in js]
         assert len(got) == len(set(got))
         assert set(got) == set(_splits_by_combinations(lam))
-        assert all(c == 1 for pairs in cop.splits.values() for _, c in pairs)
+        assert all(c == 1 for _, cs in cop.splits.values() for c in cs)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -228,10 +234,10 @@ def test_coproduct_sums_the_splits_of_each_key(terms):
     cop = f.coproduct
     _check_beta_index(cop)
     assert set(cop.splits) == set(want)
-    for gamma, pairs in cop.splits.items():
-        assert isinstance(pairs, tuple)
-        assert len(pairs) == len(want[gamma])
-        assert {cop.betas[j]: c for j, c in pairs} == want[gamma]
+    for gamma, (js, cs) in cop.splits.items():
+        assert isinstance(js, tuple) and isinstance(cs, tuple)
+        assert len(js) == len(want[gamma])
+        assert {cop.betas[j]: c for j, c in zip(js, cs)} == want[gamma]
 
 
 def test_split_alphabets_matches_combinations():
@@ -333,6 +339,9 @@ def test_keys_that_are_not_partitions_raise(key):
             expand(f)
     with pytest.raises(ValueError, match=re.escape(str(key))):
         f.coproduct
+    for left, right in ((f, m((1,))), (m((1,)), f)):
+        with pytest.raises(ValueError, match=re.escape(str(key))):
+            multiply(left, right)
     with pytest.raises(ValueError, match=re.escape(str(key))):
         _multiset_splits(key)
 
@@ -379,12 +388,41 @@ def test_cached_tables_are_read_only():
     with pytest.raises(AttributeError):
         cop.splits[(1,)].append((0, 1))
     with pytest.raises(AttributeError):
+        cop.splits[(1,)][0].append(0)
+    with pytest.raises(AttributeError):
         cop.betas.append((5,))
     with pytest.raises(AttributeError):
         cop.betas = ()
     h = _h_expansion("G", (2, 1), P6)
     assert isinstance(h, tuple)
     assert all(isinstance(term, tuple) for term in h)
+    gammas, coeffs = h
+    assert len(gammas) == len(coeffs)
+
+
+def test_coproduct_of_G_rho4_is_compact():
+    # a split is an index and a coefficient in two parallel tuples:
+    # G_{rho_4} at degree 22 has 46,024 splits, held in about 25 bytes
+    # each; a (j, c) tuple per split would cost about 70
+    trunc = TruncationProfile(22)
+    f = SymFunc(dict(big_G(SkewShape((4, 3, 2, 1), EMPTY), trunc).coeffs),
+                trunc)
+    n_splits = sum(len(_multiset_splits(lam)) for lam in f.coeffs)
+    assert n_splits == 46024
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        cop = f.coproduct
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert retained <= 40 * n_splits, retained / n_splits
+    assert sum(len(js) for js, _ in cop.splits.values()) == n_splits
 
 
 def test_m_to_e_of_h2():
