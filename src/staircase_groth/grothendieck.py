@@ -139,11 +139,11 @@ def lr_coeff(nu: Partition, mu: Partition, target: Partition) -> SignedCount:
     reverse reading word is a lattice word with content ``target``; the
     sign exponent is |target| - |nu| - |mu|.
     """
-    nu = partition(nu)
-    mu = partition(mu)
+    shape = star_join(nu, mu)
     target = partition(target)
-    value = tableaux.count_lattice_fillings(star_join(nu, mu), target)
-    return SignedCount(value, sum(target) - sum(nu) - sum(mu))
+    value = len(tableaux._lattice_table(shape, sum(target), target)
+                .get(target, ()))
+    return SignedCount(value, sum(target) - shape.size())
 
 
 def alpha(shape: SkewShape, content: Partition) -> SignedCount:

@@ -376,32 +376,12 @@ def split_alphabets(f: SymFunc) -> dict:
             for alpha, (js, cs) in splits.items() for j, c in zip(js, cs)}
 
 
-@dataclass(frozen=True)
-class _InverseKostka:
-    """Inverse Kostka numbers c = [s_nu] m_lam of one degree, nonzero only.
-
-    ``columns`` maps nu to its pairs (lam, c), the h-expansion of s_nu,
-    as h and m are dual.  ``rows`` is the transpose, lam to its pairs
-    (nu, c), the Schur expansion of m_lam; it is built on first use, so
-    the smaller degrees that only feed the Jacobi-Trudi recursion never
-    hold it.  Both list their partitions in the order of
-    ``partitions_of``.
-    """
-
-    columns: Mapping[Partition, tuple[tuple[Partition, int], ...]]
-
-    @functools.cached_property
-    def rows(self) -> Mapping[Partition, tuple[tuple[Partition, int], ...]]:
-        rows: dict[Partition, list[tuple[Partition, int]]] = {}
-        for nu, col in self.columns.items():
-            for lam, c in col:
-                rows.setdefault(lam, []).append((nu, c))
-        return MappingProxyType({lam: tuple(r) for lam, r in rows.items()})
-
-
 @functools.cache
-def _inverse_kostka(d: int) -> _InverseKostka:
-    """The inverse Kostka numbers of degree d.
+def _inverse_kostka_columns(
+        d: int) -> Mapping[Partition, tuple[tuple[Partition, int], ...]]:
+    """The inverse Kostka numbers c = [s_nu] m_lam of degree d, nonzero
+    only: for each nu, the pairs (lam, c), the h-expansion of s_nu, as h
+    and m are dual, listed in the order of ``partitions_of``.
 
     Expanding the Jacobi-Trudi determinant s_nu = det(h_{nu_i - i + j})
     along its last column gives
@@ -410,7 +390,7 @@ def _inverse_kostka(d: int) -> _InverseKostka:
     zeros, so each column adds a part to the keys of smaller columns.
     """
     if d == 0:
-        return _InverseKostka(MappingProxyType({EMPTY: ((EMPTY, 1),)}))
+        return MappingProxyType({EMPTY: ((EMPTY, 1),)})
     order = {lam: i for i, lam in enumerate(partitions_of(d))}
     cols: dict[Partition, tuple[tuple[Partition, int], ...]] = {}
     for nu in order:
@@ -425,13 +405,23 @@ def _inverse_kostka(d: int) -> _InverseKostka:
                 col[lam] = col.get(lam, 0) + sign * c
         cols[nu] = tuple(sorted(((lam, c) for lam, c in col.items() if c),
                                 key=lambda kv: order[kv[0]]))
-    return _InverseKostka(MappingProxyType(cols))
+    return MappingProxyType(cols)
 
 
-def _inverse_kostka_columns(
+@functools.cache
+def _inverse_kostka_rows(
         d: int) -> Mapping[Partition, tuple[tuple[Partition, int], ...]]:
-    """For each nu of d, the pairs (lam, c) with c = [s_nu] m_lam nonzero."""
-    return _inverse_kostka(d).columns
+    """The transpose of ``_inverse_kostka_columns(d)``: for each lam, the
+    pairs (nu, c), the Schur expansion of m_lam, in the same order.
+
+    Cached apart from the columns, so the smaller degrees that only feed
+    the Jacobi-Trudi recursion never hold it.
+    """
+    rows: dict[Partition, list[tuple[Partition, int]]] = {}
+    for nu, col in _inverse_kostka_columns(d).items():
+        for lam, c in col:
+            rows.setdefault(lam, []).append((nu, c))
+    return MappingProxyType({lam: tuple(r) for lam, r in rows.items()})
 
 
 def _schur_by_rows(f: SymFunc) -> dict[Partition, int]:
@@ -444,7 +434,7 @@ def _schur_by_rows(f: SymFunc) -> dict[Partition, int]:
     """
     out: dict[Partition, int] = {}
     for lam, c in f.coeffs.items():
-        row = _inverse_kostka(sum(lam)).rows.get(lam)
+        row = _inverse_kostka_rows(sum(lam)).get(lam)
         if row is None:
             raise ValueError(f"key {lam} is not a partition")
         for nu, k in row:

@@ -30,12 +30,12 @@ containing the table's root at once, up to its extra degree (the content
 size past the cell count; always 0 for ssyt and rpp, whose tables hold
 every content).  It adds each content's parts largest first, exact as
 every count is symmetric in its content, each part at most the previous
-one, the room left and the heaviest transition into a live state.  The
-first request of a kind builds it at its own inner shape and extra
-degree.  A request the table does not cover rebuilds it once, rooted at
-the meet of the old root and the request's inner shape and at the larger
-extra degree, so a table only ever grows to cover more requests.  Caches
-are only ever extended or replaced with finished, idempotent values.
+one and the room left.  The first request of a kind builds it at its own
+inner shape and extra degree.  A request the table does not cover
+rebuilds it once, rooted at the meet of the old root and the request's
+inner shape and at the larger extra degree, so a table only ever grows
+to cover more requests.  Caches are only ever extended or replaced with
+finished, idempotent values.
 
 Lattice fillings (svt whose reverse reading word is a lattice word) come
 from one backtracker over the cells in reading order that checks the
@@ -44,9 +44,10 @@ as the tuple of its cell sets, grouped by content.  Given a content it
 prunes by that content; given only the total size |T| it sweeps every
 content of that size at once.  Both are memoized in one cache of those
 fillings keyed by the caller's skew shape, so one search per shape and
-content (or size) serves every reader: ``count_lattice_fillings`` (and
-``grothendieck.alpha``, from the sweep) read how many fillings it holds,
-and ``iter_lattice_fillings`` rebuilds them as ``SetFilling`` objects.
+content (or size) serves every reader: ``count_lattice_fillings`` and
+``grothendieck.lr_coeff`` (and ``grothendieck.alpha``, from the sweep)
+read how many fillings it holds, and ``iter_lattice_fillings`` rebuilds
+them as ``SetFilling`` objects.
 """
 
 from __future__ import annotations
@@ -351,7 +352,7 @@ class _ChainTables:
     ``back[kind]`` is (root, extra degree, table), where ``table[i]``
     maps each content to the count of outer/i, for every state i that
     contains the root, up to contents of size |outer/i| + extra (see
-    ``_backward``).  Every request reads it through ``coeffs``.  A request
+    ``_backward``).  Every request reads it through ``counts``.  A request
     it does not cover, because its inner shape does not contain the root
     or its extra degree is larger, rebuilds it once: rooted at the meet
     of the old root and the request's inner shape, at the larger of the
@@ -393,14 +394,18 @@ class _ChainTables:
                     nxt[j] = get(j, 0) + n * c
         return nxt
 
-    def coeffs(self, kind: str, inner: Partition,
-               size: int) -> dict[Partition, int]:
-        """Counts of outer/inner by content, holding at least the contents
-        of size at most ``size`` (for ssyt and rpp, every content)."""
+    def counts(self, kind: str, inner: Partition,
+               budget: int) -> dict[Partition, int]:
+        """Nonzero counts of outer/inner by content, over the fillings of
+        size |T| at most ``budget``, in graded lex order.  |T| is at least
+        the cell count, and equals it for ssyt and rpp: a budget below it
+        builds no table, and the extra degree asked of the table is the
+        budget less the cell count for svt, and 0 otherwise."""
         code = self.code(inner)
-        extra = size - sum(self.outer) + sum(inner) if kind == SVT else 0
-        if extra < 0:  # every svt content is at least the cell count
+        cells = sum(self.outer) - sum(inner)
+        if budget < cells:
             return {}
+        extra = budget - cells if kind == SVT else 0
         # the table holds exactly the states containing its root; with no
         # table yet, the empty one covers nothing and the request roots it
         root, fits, table = self.back.get(kind, (inner, extra, {}))
@@ -410,13 +415,7 @@ class _ChainTables:
             fits = max(fits, extra)
             table = self._backward(kind, root, fits)
             self.back[kind] = root, fits, table
-        return table[code]
-
-    def sweep(self, kind: str, inner: Partition,
-              budget: int) -> dict[Partition, int]:
-        """Nonzero counts of every content of size at most ``budget``, in
-        graded lex order."""
-        coeffs = self.coeffs(kind, inner, budget)
+        coeffs = table[code]
         # descending lex, then stably by size: graded lex order
         keys = sorted((t for t in coeffs if sum(t) <= budget), reverse=True)
         keys.sort(key=sum)
@@ -433,13 +432,13 @@ class _ChainTables:
         DP step over the predecessors.  Counts are symmetric in the content, so
         any order of its parts gives them: every live state i at a content
         holds the coefficient of outer/i there.  The next part counts down to 1
-        from the least of the previous part, the room left (the budget less the
-        parts consumed) and the heaviest transition into any live state.  In
-        any order, consumed parts plus |i| never fall along an svt walk (a step
-        adds at least one to the content per cell it adds), so a step reaches
-        only states of size at most |outer| + extra less the parts consumed:
-        with the states inverted in ascending size, each predecessor list
-        ascends by size, and the step stops at the first one past that budget.
+        from the lesser of the previous part and the room left (the budget less
+        the parts consumed).  In any order, consumed parts plus |i| never fall
+        along an svt walk (a step adds at least one to the content per cell it
+        adds), so a step reaches only states of size at most |outer| + extra
+        less the parts consumed: with the states inverted in ascending size,
+        each predecessor list ascends by size, and the step stops at the first
+        one past that budget.
         """
         outer, strip, unit = self.outer, kind != RPP, kind != SVT
         limit = sum(outer) + extra
@@ -458,13 +457,12 @@ class _ChainTables:
                             (i, comb(free, k) * (-1) ** k, size[i]))
                 elif w:
                     row.setdefault(w, []).append(i)
-        heavy = {j: max(row, default=0) for j, row in preds.items()}
         table: dict[int, dict[Partition, int]] = {i: {} for i in states}
         table[self.top] = {EMPTY: 1}
         # no state is smaller than the root
         room = limit - sum(root)
         # depth-first; a frame is [content, states, consumed size, next part]
-        stack = [[EMPTY, {self.top: 1}, 0, min(room, heavy[self.top])]]
+        stack = [[EMPTY, {self.top: 1}, 0, room]]
         while stack:
             frame = stack[-1]
             content, bwd, used, v = frame
@@ -478,8 +476,7 @@ class _ChainTables:
                 t = content + (v,)
                 for i, c in nxt.items():
                     table[i][t] = c
-                stack.append([t, nxt, used,
-                              min(v, room - used, max(map(heavy.get, nxt)))])
+                stack.append([t, nxt, used, min(v, room - used)])
         return table
 
 
@@ -506,7 +503,7 @@ def count_fillings(shape: SkewShape, kind: str, content: Partition,
     total = sum(content) if kind == SVT else shape.size()
     if max_total_size is not None and total > max_total_size:
         return 0
-    counts = _chain(shape.outer).coeffs(kind, shape.inner, sum(content))
+    counts = _chain(shape.outer).counts(kind, shape.inner, total)
     return abs(counts.get(content, 0))
 
 
@@ -522,11 +519,8 @@ def content_counts(shape: SkewShape, kind: str, *,
     _check_kind(kind)
     if kind == SVT and max_total_size is None:
         raise ValueError("svt content counts need max_total_size")
-    n = shape.size()
-    if max_total_size is not None and max_total_size < n:
-        return {}
-    budget = max_total_size if kind == SVT else n
-    counts = _chain(shape.outer).sweep(kind, shape.inner, budget)
+    budget = shape.size() if max_total_size is None else max_total_size
+    counts = _chain(shape.outer).counts(kind, shape.inner, budget)
     return {t: abs(c) for t, c in counts.items()} if kind == SVT else counts
 
 
@@ -538,7 +532,7 @@ def signed_svt_counts(shape: SkewShape, *,
     Read straight from the svt chain table; must agree with (and is
     tested against) signing each filling of the naive stream by its size.
     """
-    return _chain(shape.outer).sweep(SVT, shape.inner, max_total_size)
+    return _chain(shape.outer).counts(SVT, shape.inner, max_total_size)
 
 
 # ---------------------------------------------------------------------------

@@ -228,7 +228,14 @@ def _block_witness(nu: Partition, mu: Partition, rho: Partition) -> dict | None:
 def verify_lattice_rules(n: int = 4) -> Report:
     """Product-coefficient equality c(rho; k-row vs k-column) plus the
     structural facts about lattice fillings of the joined shapes, and the
-    skew-coefficient equality alpha(rho/(k)) == alpha(rho/(1^k))."""
+    skew-coefficient equality alpha(rho/(k)) == alpha(rho/(1^k)).
+
+    The c cases have a closed form.  A staircase's corners are pairwise
+    separated (rho_{i+1} = rho_i - 1, and rho = rho'), so rho/nu is a
+    horizontal strip exactly when it is a vertical strip and a rook strip.
+    When it is one, of m >= k cells, Lenart's K-Pieri rule gives both
+    sides as C(m - 1, m - k), sign exponent m - k, and 0 otherwise.
+    """
     _check_n(n)
     rho = staircase(n)
     cases = []

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
@@ -29,6 +30,7 @@ from staircase_groth.grothendieck import (
 from staircase_groth.shapes import (
     EMPTY,
     SkewShape,
+    classify_strip,
     conjugate,
     partitions_of,
     staircase,
@@ -258,6 +260,43 @@ def test_lr_coeff_matches_lenart_pieri_rule():
                         (nu, mu, lam)
                     checks += 1
     assert checks == 5172
+
+
+@pytest.mark.slow
+def test_lattice_c_cases_at_n7_match_the_closed_form():
+    # the c cases of lattice-rules at n=7, past the suite's cap, both
+    # sides: a staircase's corners are pairwise separated, so rho/nu is a
+    # horizontal strip exactly when it is a vertical and a rook strip, and
+    # the K-Pieri rule then reads C(m - 1, m - k) over its m cells, rows
+    # and columns alike; about 12 s on 2 vCPUs
+    rho = staircase(7)
+    pairs = nonzero = 0
+    try:
+        for nu in subpartitions(rho):
+            m = sum(rho) - sum(nu)
+            flags = classify_strip(SkewShape(rho, nu))
+            assert flags.horizontal == flags.vertical == flags.rook, nu
+            for k in range(1, 8):
+                want = comb(m - 1, m - k) if flags.horizontal and m >= k else 0
+                for mu in ((k,), (1,) * k):
+                    got = lr_coeff(nu, mu, rho)
+                    assert (got.value, got.sign_exponent) == (want, m - k), \
+                        (nu, mu)
+                pairs += 1
+                nonzero += want > 0
+    finally:
+        tb._lattice_table.cache_clear()
+    assert pairs == 10010 and nonzero
+
+
+def test_lr_coeff_reports_invalid_inputs_in_order():
+    # nu and mu are checked by star_join, then the target
+    bad = [(1, 2), (1, 3), (1, 4)]
+    for i, culprit in enumerate(bad):
+        args = [(1,)] * i + bad[i:]
+        with pytest.raises(ValueError, match=re.escape(str(culprit))):
+            lr_coeff(*args)
+    assert lr_coeff((1,), (1,), [2, 1, 0]) == lr_coeff((1,), (1,), (2, 1))
 
 
 def test_alpha_examples():

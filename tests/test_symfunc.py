@@ -16,6 +16,7 @@ from staircase_groth.symfunc import (
     SymFunc,
     TruncationProfile,
     _inverse_kostka_columns,
+    _inverse_kostka_rows,
     _multiset_splits,
     _schur_by_rows,
     basis_element,
@@ -373,14 +374,19 @@ def test_inverse_kostka_columns_transpose_m_to_schur():
         for lam in partitions_of(d):
             want = m_to_schur(m(lam, TruncationProfile.for_degree(d)))
             assert rows[lam] == want.coeffs
+        if d <= 8:
+            # the cached rows are that transpose, entry by entry, in order
+            assert {lam: tuple(row.items()) for lam, row in rows.items()} \
+                == _inverse_kostka_rows(d)
+            assert list(rows) == list(_inverse_kostka_rows(d))
 
 
 def test_cached_tables_are_read_only():
-    cols = _inverse_kostka_columns(3)
-    with pytest.raises(TypeError):
-        cols[(3,)] = ()
-    with pytest.raises(AttributeError):
-        cols[(3,)].append(((3,), 1))
+    for table in (_inverse_kostka_columns(3), _inverse_kostka_rows(3)):
+        with pytest.raises(TypeError):
+            table[(3,)] = ()
+        with pytest.raises(AttributeError):
+            table[(3,)].append(((3,), 1))
     cop = SymFunc({(2, 1): 1, (1,): 2}, P6).coproduct
     with pytest.raises(TypeError):
         cop.splits[(5,)] = ()
