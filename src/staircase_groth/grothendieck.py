@@ -141,8 +141,7 @@ def lr_coeff(nu: Partition, mu: Partition, target: Partition) -> SignedCount:
     """
     shape = star_join(nu, mu)
     target = partition(target)
-    value = len(tableaux._lattice_table(shape, sum(target), target)
-                .get(target, ()))
+    value = tableaux.count_lattice_fillings(shape, target)
     return SignedCount(value, sum(target) - shape.size())
 
 

@@ -44,10 +44,9 @@ as the tuple of its cell sets, grouped by content.  Given a content it
 prunes by that content; given only the total size |T| it sweeps every
 content of that size at once.  Both are memoized in one cache of those
 fillings keyed by the caller's skew shape, so one search per shape and
-content (or size) serves every reader: ``count_lattice_fillings`` and
-``grothendieck.lr_coeff`` (and ``grothendieck.alpha``, from the sweep)
-read how many fillings it holds, and ``iter_lattice_fillings`` rebuilds
-them as ``SetFilling`` objects.
+content (or size) serves every reader: ``count_lattice_fillings`` (and
+``grothendieck.alpha``, from the sweep) read how many fillings it holds,
+and ``iter_lattice_fillings`` rebuilds them as ``SetFilling`` objects.
 """
 
 from __future__ import annotations
@@ -396,10 +395,10 @@ class _ChainTables:
 
     def counts(self, kind: str, inner: Partition,
                budget: int) -> dict[Partition, int]:
-        """Nonzero counts of outer/inner by content, over the fillings of
-        size |T| at most ``budget``, in graded lex order.  |T| is at least
-        the cell count, and equals it for ssyt and rpp: a budget below it
-        builds no table, and the extra degree asked of the table is the
+        """The table entry of outer/inner: nonzero counts by content, at
+        least over the fillings of size |T| at most ``budget``.  |T| is at
+        least the cell count, and equals it for ssyt and rpp: a budget below
+        it builds no table, and the extra degree asked of the table is the
         budget less the cell count for svt, and 0 otherwise."""
         code = self.code(inner)
         cells = sum(self.outer) - sum(inner)
@@ -415,11 +414,7 @@ class _ChainTables:
             fits = max(fits, extra)
             table = self._backward(kind, root, fits)
             self.back[kind] = root, fits, table
-        coeffs = table[code]
-        # descending lex, then stably by size: graded lex order
-        keys = sorted((t for t in coeffs if sum(t) <= budget), reverse=True)
-        keys.sort(key=sum)
-        return {t: coeffs[t] for t in keys}
+        return table[code]
 
     def _backward(self, kind: str, root: Partition,
                   extra: int) -> dict[int, dict[Partition, int]]:
@@ -490,6 +485,15 @@ def _chain(outer: Partition) -> _ChainTables:
     return tables
 
 
+def _graded(shape: SkewShape, kind: str, budget: int) -> dict[Partition, int]:
+    """The shape's table entry cut to |T| at most ``budget``, graded lex."""
+    counts = _chain(shape.outer).counts(kind, shape.inner, budget)
+    # descending lex, then stably by size
+    keys = sorted((t for t in counts if sum(t) <= budget), reverse=True)
+    keys.sort(key=sum)
+    return {t: counts[t] for t in keys}
+
+
 def count_fillings(shape: SkewShape, kind: str, content: Partition,
                    max_total_size: int | None = None) -> int:
     """Number of valid fillings whose content vector equals ``content``.
@@ -520,7 +524,7 @@ def content_counts(shape: SkewShape, kind: str, *,
     if kind == SVT and max_total_size is None:
         raise ValueError("svt content counts need max_total_size")
     budget = shape.size() if max_total_size is None else max_total_size
-    counts = _chain(shape.outer).counts(kind, shape.inner, budget)
+    counts = _graded(shape, kind, budget)
     return {t: abs(c) for t, c in counts.items()} if kind == SVT else counts
 
 
@@ -532,7 +536,7 @@ def signed_svt_counts(shape: SkewShape, *,
     Read straight from the svt chain table; must agree with (and is
     tested against) signing each filling of the naive stream by its size.
     """
-    return _chain(shape.outer).counts(SVT, shape.inner, max_total_size)
+    return _graded(shape, SVT, max_total_size)
 
 
 # ---------------------------------------------------------------------------

@@ -473,6 +473,24 @@ def test_svt_requests_below_the_cell_count_build_no_table():
         assert tb._chain_cache[shape.outer].back[SVT][:2] == ((1,), 2)
 
 
+def test_single_content_reads_skip_the_graded_cut(monkeypatch):
+    # count_fillings reads its one content straight from the table entry;
+    # only the whole-dict readers cut it by size and sort it
+    shape = SkewShape(staircase(5), (1,))
+    tb._chain_cache.clear()
+    whole = {kind: tb.content_counts(shape, kind, max_total_size=16)
+             for kind in (SSYT, RPP, SVT)}
+
+    def no_cut(*args):
+        raise AssertionError("a single-content read cut the whole entry")
+
+    monkeypatch.setattr(tb, "_graded", no_cut)
+    for kind, counts in whole.items():
+        assert counts
+        for t, c in counts.items():
+            assert tb.count_fillings(shape, kind, t, max_total_size=16) == c
+
+
 def test_svt_content_counts_need_a_cap():
     # the plain svt table grows with the content size, so none is implied
     with pytest.raises(ValueError):
