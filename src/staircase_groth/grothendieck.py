@@ -21,6 +21,18 @@ duality of the h and m bases: the operator's h-expansion pairs against
 the operand's coproduct (``SymFunc.coproduct``), reading only the splits
 whose left factor is a key of that h-expansion and summing into a list
 indexed by the coproduct's numbered right factors.
+
+A straight g or G key reaches the Schur basis, and from there its
+h-expansion, by a flagged rule with no chain table
+(``tableaux.flagged_schur``):
+
+* G_lam = sum over nu ⊇ lam of (-1)^|nu/lam| a_nu s_nu (Lenart, Ann.
+  Comb. 4 (2000), Thm 2.2), where a_nu counts the fillings of nu/lam
+  strictly increasing along rows and columns;
+* g_lam = sum over nu ⊆ lam of f_nu s_nu (Lam-Pylyavskyy, IMRN 2007),
+  where f_nu counts the semistandard fillings of lam/nu;
+
+in both, the entries in row r lie in 1..r - 1.
 """
 
 from __future__ import annotations
@@ -36,6 +48,7 @@ from .shapes import (
     classify_strip,
     conjugate,
     contains,
+    graded_lex_key,
     partition,
     star_join,
     subpartitions,
@@ -45,6 +58,7 @@ from .symfunc import (
     SymFunc,
     TruncationProfile,
     _kostka_row,
+    _pair_with_m,
     basis_element,
     m_to_h,
     m_to_schur,
@@ -239,9 +253,28 @@ def expansion_to_symfunc(exp: BasisExpansion) -> SymFunc:
     return SymFunc(total, trunc)
 
 
+_FLAGGED = {"G": tableaux.SVT, "g": tableaux.RPP}
+
+
 def to_schur_expansion(exp: BasisExpansion) -> BasisExpansion:
-    """Convert any basis expansion to the Schur basis, degree by degree."""
-    return m_to_schur(expansion_to_symfunc(exp))
+    """Convert any basis expansion to the Schur basis, in graded lex order.
+
+    An s key is its own expansion, and g and G keys take their flagged
+    Schur expansions (``tableaux.flagged_schur``; Lam-Pylyavskyy and
+    Lenart), so no chain table is built.  m, e and h keys are realized
+    in monomials and peeled (``m_to_schur``).
+    """
+    if exp.basis in ("m", "e", "h"):
+        return m_to_schur(expansion_to_symfunc(exp))
+    cap = exp.trunc.max_degree
+    out: dict[Partition, int] = {}
+    for lam, c in exp.coeffs.items():
+        terms = {lam: 1} if exp.basis == "s" else tableaux.flagged_schur(
+            _FLAGGED[exp.basis], lam, cap)
+        for nu, k in terms.items():
+            out[nu] = out.get(nu, 0) + c * k
+    return BasisExpansion("s", {nu: out[nu] for nu in
+                                sorted(out, key=graded_lex_key)}, exp.trunc)
 
 
 @functools.cache
@@ -249,9 +282,24 @@ def _h_expansion(basis: str, key: Partition, trunc: TruncationProfile
                  ) -> tuple[tuple[Partition, ...], tuple[int, ...]]:
     """The h-expansion of the basis element b_key realized at ``trunc``,
     as parallel tuples (gammas, coeffs); both empty when key does not fit
-    the profile (for g, raises)."""
-    term = expansion_to_symfunc(BasisExpansion(basis, {key: 1}, trunc))
-    coeffs = m_to_h(term).coeffs
+    the profile (for g, raises).
+
+    s, g and G keys pair their Schur expansion (``to_schur_expansion``)
+    with the Jacobi-Trudi columns, with no monomial step and no chain
+    table: s_key is itself, G_key = sum over nu ⊇ key of
+    (-1)^|nu/key| a_nu s_nu (Lenart, Ann. Comb. 4 (2000), Thm 2.2) and
+    g_key = sum over nu ⊆ key of f_nu s_nu (Lam-Pylyavskyy, IMRN 2007),
+    where a_nu counts the fillings of nu/key strictly increasing along
+    rows and columns and f_nu the semistandard fillings of key/nu, each
+    with entries in row r from 1 to r - 1.  m, e and h keys are realized
+    in monomials and read by ``m_to_h``.
+    """
+    exp = BasisExpansion(basis, {key: 1}, trunc)
+    if basis in ("m", "e", "h"):
+        coeffs = m_to_h(expansion_to_symfunc(exp)).coeffs
+    else:
+        schur_exp = to_schur_expansion(exp).coeffs
+        coeffs = _pair_with_m(schur_exp, "h", trunc).coeffs
     return tuple(coeffs), tuple(coeffs.values())
 
 

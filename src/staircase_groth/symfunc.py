@@ -442,19 +442,20 @@ def _schur_by_rows(f: SymFunc) -> dict[Partition, int]:
     return {nu: out[nu] for nu in sorted(out, key=graded_lex_key) if out[nu]}
 
 
-def _pair_with_m(f: SymFunc, schur: dict, basis: str) -> BasisExpansion:
+def _pair_with_m(schur: dict, basis: str,
+                 trunc: TruncationProfile) -> BasisExpansion:
     """The expansion whose lam coefficient pairs the Schur expansion
-    ``schur`` of f with m_lam.
+    ``schur`` with m_lam, at the profile ``trunc``.
 
     Each Schur key nu adds its coefficient times the inverse Kostka
-    column of nu; every lam reached has a degree of f, so all of them
-    fit the profile.
+    column of nu; every lam reached has the degree of a key of
+    ``schur``, so all of them fit a profile that holds those keys.
     """
     out: dict[Partition, int] = {}
     for nu, c in schur.items():
         for lam, k in _inverse_kostka_columns(sum(nu))[nu]:
             out[lam] = out.get(lam, 0) + k * c
-    return BasisExpansion(basis, out, f.trunc)
+    return BasisExpansion(basis, out, trunc)
 
 
 def m_to_h(f: SymFunc) -> BasisExpansion:
@@ -464,7 +465,7 @@ def m_to_h(f: SymFunc) -> BasisExpansion:
     pairing of f against m_lam, read off the inverse Kostka columns of
     the Schur support of f, which the inverse Kostka rows give.
     """
-    return _pair_with_m(f, _schur_by_rows(f), "h")
+    return _pair_with_m(_schur_by_rows(f), "h", f.trunc)
 
 
 def m_to_e(f: SymFunc) -> BasisExpansion:
@@ -474,4 +475,4 @@ def m_to_e(f: SymFunc) -> BasisExpansion:
     conjugate: f = sum c_lam e_lam exactly when omega(f) = sum c_lam h_lam.
     """
     omega = {conjugate(k): c for k, c in _schur_by_rows(f).items()}
-    return _pair_with_m(f, omega, "e")
+    return _pair_with_m(omega, "e", f.trunc)

@@ -37,6 +37,11 @@ inner shape and at the larger extra degree, so a table only ever grows
 to cover more requests.  Caches are only ever extended or replaced with
 finished, idempotent values.
 
+``flagged_schur`` gives the Schur coefficients of a straight svt (G) or
+rpp (g) generating function with no table: one transfer walk over the
+row-flagged fillings of Lenart and of Lam-Pylyavskyy, each step one
+``_walk`` between two bounds.
+
 Lattice fillings (svt whose reverse reading word is a lattice word) come
 from one backtracker over the cells in reading order that checks the
 lattice condition letter by letter and keeps every filling it reaches,
@@ -336,6 +341,79 @@ def _walk(a: Word, outer: Partition, strip: bool,
         layer = grown
         scale *= base
     return layer
+
+
+def flagged_schur(kind: str, key: Partition, cap: int) -> dict[Partition, int]:
+    """Schur coefficients of the straight G_key (kind svt, signed) or
+    g_key (kind rpp), up to degree ``cap``, with no chain table.
+
+    Both rules count fillings whose entries in row r lie in 1..r - 1, so
+    the cells holding v lie in rows v + 1 and below:
+
+    * svt (Lenart, Ann. Comb. 4 (2000), Thm 2.2):
+      G_key = sum over nu ⊇ key of (-1)^|nu/key| a_nu s_nu, where a_nu
+      counts the fillings of nu/key strictly increasing along rows and
+      columns.  The cells holding v form a rook strip, so the walk adds
+      one per value v = 1, 2, ...: each row from v + 1 on may gain one
+      cell, up to the old end of the row above.  A state is final once
+      its length is below v (it has no such row) or it holds ``cap``
+      cells.
+    * rpp (Lam-Pylyavskyy, IMRN 2007): g_key = sum over nu ⊆ key of
+      f_nu s_nu, where f_nu counts the semistandard fillings of key/nu.
+      The cells holding v form a horizontal strip, so the walk removes
+      one per value v = l(key) - 1, ..., 1: each row from v + 1 on may
+      lose cells, down to the old end of the row below.
+
+    Each step is the transfer matrix over every partition between two
+    bounds, which ``_walk`` lists.
+    """
+    if kind not in (SVT, RPP):
+        raise ValueError(f"flagged Schur expansions are of svt or rpp, "
+                         f"not {kind!r}")
+    key = partition(key)
+    base = (key[0] if key else 0) + 1  # no state has a longer first row
+
+    def between(lower: Word, upper: Word) -> Iterator[tuple[Partition, int]]:
+        # every sigma between the bounds, with the columns sigma/lower meets
+        for code, _, w, _ in _walk(lower, upper, False, base):
+            parts = []
+            while code:
+                code, x = divmod(code, base)
+                parts.append(x)
+            yield tuple(parts), w
+
+    live = {key: 1}
+    if kind == SVT:
+        out: dict[Partition, int] = {}
+        v = 1
+        while live:
+            nxt: dict[Partition, int] = {}
+            for nu, c in live.items():
+                room = cap - sum(nu)
+                if len(nu) < v or room <= 0:
+                    out[nu] = out.get(nu, 0) + c
+                    continue
+                low = nu + (0,)
+                high = low[:v] + tuple(min(x + 1, low[r - 1])
+                                       for r, x in enumerate(low[v:], v))
+                # a rook strip meets as many columns as it has cells
+                for sigma, cells in between(low, high):
+                    if cells <= room:
+                        nxt[sigma] = nxt.get(sigma, 0) + (
+                            -c if cells % 2 else c)
+            live = nxt
+            v += 1
+    else:
+        for v in range(len(key) - 1, 0, -1):
+            nxt = {}
+            for tau, c in live.items():
+                low = tuple(x if r < v else y for r, (x, y)
+                            in enumerate(zip(tau, tau[1:] + (0,))))
+                for sigma, _ in between(low, tau):
+                    nxt[sigma] = nxt.get(sigma, 0) + c
+            live = nxt
+        out = live
+    return {nu: c for nu, c in out.items() if sum(nu) <= cap}
 
 
 class _ChainTables:

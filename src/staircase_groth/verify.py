@@ -506,10 +506,12 @@ def verify_hopf(n: int = 3, max_degree: int | None = None,
                                        "<s_f s_g, s_a>", _value_witness(lhs, rhs)))
 
     if "duality" in include:
+        # two engines: G_lam's Schur expansion from the flagged walk, g_mu's
+        # from its chain table
         p = TruncationProfile.for_degree(5)
         pairs = list(_sorted_partitions(5))
         for lam in pairs:
-            gexp = sf.m_to_schur(gr.big_G(SkewShape(lam, EMPTY), p))
+            gexp = gr.to_schur_expansion(BasisExpansion("G", {lam: 1}, p))
             for mu in pairs:
                 hexp = sf.m_to_schur(gr.dual_g(SkewShape(mu, EMPTY), p))
                 cases.append(_case({"lam": format_partition(lam),

@@ -393,7 +393,8 @@ def test_golden_output_is_byte_identical():
 
 @pytest.mark.slow
 def test_hopf_n5_json_is_byte_identical():
-    # about 8 s and 160 MB on 2 vCPUs; deselected unless run with -m slow
+    # 6.3-8.4 s and 131 MB (pytest's peak RSS) over three runs on 2
+    # vCPUs; deselected unless run with -m slow
     code, out = cli("verify", "--suite", "hopf", "--n", "5",
                     "--format", "json")
     assert code == 0

@@ -518,6 +518,67 @@ def test_skew_by_h_cache_is_keyed_by_operand_profile():
         assert skew_by(f, large) != skew_by(without, large)
 
 
+def test_flagged_schur_hand_examples():
+    # g_21 = s_21 + s_2; G_1 = s_1 - s_11 + s_111 - ..., cut at degree 3
+    assert tb.flagged_schur(tb.RPP, (2, 1), 3) == {(2, 1): 1, (2,): 1}
+    assert tb.flagged_schur(tb.SVT, (1,), 3) == {
+        (1,): 1, (1, 1): -1, (1, 1, 1): 1}
+    assert tb.flagged_schur(tb.SVT, (2, 2), 3) == {}
+    with pytest.raises(ValueError):
+        tb.flagged_schur(tb.SSYT, (1,), 3)
+
+
+# Straight shapes of at most 7 cells, largest first: hypothesis favours
+# the first entries.
+STRAIGHT_7 = sorted((lam for d in range(8) for lam in partitions_of(d)),
+                    key=lambda lam: (-sum(lam), lam))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.sampled_from(STRAIGHT_7), st.integers(min_value=0, max_value=3))
+def test_flagged_schur_matches_the_chain_tables(lam, extra):
+    p = TruncationProfile.for_degree(sum(lam) + extra)
+    G = sf.m_to_schur(big_G(straight(lam), p))
+    g = sf.m_to_schur(dual_g(straight(lam), p))
+    assert tb.flagged_schur(tb.SVT, lam, p.max_degree) == G.coeffs
+    assert tb.flagged_schur(tb.RPP, lam, p.max_degree) == g.coeffs
+    for basis in "sgG":
+        for exp in (BasisExpansion(basis, {lam: 1}, p),
+                    BasisExpansion(basis, {lam: 2, EMPTY: -1}, p)):
+            # the monomial route the walk replaced is the oracle
+            mono = expansion_to_symfunc(exp)
+            want = sf.m_to_schur(mono).coeffs
+            assert list(to_schur_expansion(exp).coeffs.items()) == \
+                list(want.items())
+        h = sf.m_to_h(expansion_to_symfunc(
+            BasisExpansion(basis, {lam: 1}, p))).coeffs
+        assert gr._h_expansion(basis, lam, p) == (tuple(h), tuple(h.values()))
+
+
+def test_skew_by_flagged_keys_builds_no_chain_table(monkeypatch):
+    # the G operator keys of skew-g once built 217 signed svt tables at
+    # n = 4, 175 of them replaced by larger ones; now only the rpp tables
+    # of the g operands are built
+    builds = {}
+    backward = tb._ChainTables._backward
+
+    def counted(self, kind, root, extra):
+        builds[kind] = builds.get(kind, 0) + 1
+        return backward(self, kind, root, extra)
+
+    monkeypatch.setattr(tb._ChainTables, "_backward", counted)
+    tb._chain_cache.clear()
+    gr._h_expansion.cache_clear()
+    gr._dual_g_cached.cache_clear()
+    p = TruncationProfile(9)
+    for lam in all_partitions_up_to(5):
+        for basis in "sgG":
+            gr._h_expansion(basis, lam, p)
+    assert builds == {}
+    assert verify_hopf(4, include=("skew-g",)).passed
+    assert tb.SVT not in builds and builds[tb.RPP] > 0
+
+
 def test_adjunction_small():
     p = TruncationProfile(5)
     smalls = list(all_partitions_up_to(2))
