@@ -59,8 +59,8 @@ from .symfunc import (
     TruncationProfile,
     _kostka_row,
     _pair_with_m,
+    _schur_by_columns,
     basis_element,
-    m_to_h,
     m_to_schur,
     schur_to_m,
 )
@@ -262,10 +262,12 @@ def to_schur_expansion(exp: BasisExpansion) -> BasisExpansion:
     An s key is its own expansion, and g and G keys take their flagged
     Schur expansions (``tableaux.flagged_schur``; Lam-Pylyavskyy and
     Lenart), so no chain table is built.  m, e and h keys are realized
-    in monomials and peeled (``m_to_schur``).
+    in monomials and read off the inverse Kostka columns
+    (``symfunc._schur_by_columns``).
     """
     if exp.basis in ("m", "e", "h"):
-        return m_to_schur(expansion_to_symfunc(exp))
+        return BasisExpansion("s", _schur_by_columns(
+            expansion_to_symfunc(exp)), exp.trunc)
     cap = exp.trunc.max_degree
     out: dict[Partition, int] = {}
     for lam, c in exp.coeffs.items():
@@ -284,22 +286,12 @@ def _h_expansion(basis: str, key: Partition, trunc: TruncationProfile
     as parallel tuples (gammas, coeffs); both empty when key does not fit
     the profile (for g, raises).
 
-    s, g and G keys pair their Schur expansion (``to_schur_expansion``)
-    with the Jacobi-Trudi columns, with no monomial step and no chain
-    table: s_key is itself, G_key = sum over nu ⊇ key of
-    (-1)^|nu/key| a_nu s_nu (Lenart, Ann. Comb. 4 (2000), Thm 2.2) and
-    g_key = sum over nu ⊆ key of f_nu s_nu (Lam-Pylyavskyy, IMRN 2007),
-    where a_nu counts the fillings of nu/key strictly increasing along
-    rows and columns and f_nu the semistandard fillings of key/nu, each
-    with entries in row r from 1 to r - 1.  m, e and h keys are realized
-    in monomials and read by ``m_to_h``.
+    Every basis takes one route: the Schur expansion of b_key
+    (``to_schur_expansion``) paired with the Jacobi-Trudi columns, so
+    s, g and G keys need no monomial step and no chain table.
     """
     exp = BasisExpansion(basis, {key: 1}, trunc)
-    if basis in ("m", "e", "h"):
-        coeffs = m_to_h(expansion_to_symfunc(exp)).coeffs
-    else:
-        schur_exp = to_schur_expansion(exp).coeffs
-        coeffs = _pair_with_m(schur_exp, "h", trunc).coeffs
+    coeffs = _pair_with_m(to_schur_expansion(exp).coeffs, "h", trunc).coeffs
     return tuple(coeffs), tuple(coeffs.values())
 
 

@@ -186,6 +186,13 @@ def _distinct_arrangements(parts: Partition, length: int) -> Iterator[tuple[int,
     yield from rec(length, ())
 
 
+def _require_partition(key: Partition) -> None:
+    """Raise ValueError unless key is a partition, which no reader may
+    take as the multiset of its parts or as its sorted form."""
+    if any(v < 1 for v in key) or any(a < b for a, b in zip(key, key[1:])):
+        raise ValueError(f"key {key} is not a partition")
+
+
 @functools.cache
 def _m_product(lam: Partition, mu: Partition) -> tuple[tuple[Partition, int], ...]:
     """Monomial-basis product m_lam * m_mu as a coefficient table.
@@ -195,10 +202,8 @@ def _m_product(lam: Partition, mu: Partition) -> tuple[tuple[Partition, int], ..
     Raises ValueError when lam or mu is not a partition, which would
     otherwise be read as its multiset of parts.
     """
-    for key in (lam, mu):
-        if any(v < 1 for v in key) or any(
-                a < b for a, b in zip(key, key[1:])):
-            raise ValueError(f"key {key} is not a partition")
+    _require_partition(lam)
+    _require_partition(mu)
     if graded_lex_key(lam) > graded_lex_key(mu):
         lam, mu = mu, lam
     length = len(lam) + len(mu)
@@ -302,13 +307,15 @@ def m_to_schur(f: SymFunc) -> BasisExpansion:
 
     The Kostka system is unitriangular under dominance order, and
     lexicographic order refines dominance, so peeling the lex-largest
-    remaining key is integer exact.
+    remaining key is integer exact.  Raises ValueError on a key that is
+    not a partition.
     """
     out: dict[Partition, int] = {}
     for d in f.degrees():
         sub = {k: c for k, c in f.coeffs.items() if sum(k) == d}
         while sub:
             lam = max(sub)
+            _require_partition(lam)
             c = sub.pop(lam)
             out[lam] = c
             for mu, k in _kostka_row(lam, EMPTY):
@@ -408,38 +415,27 @@ def _inverse_kostka_columns(
     return MappingProxyType(cols)
 
 
-@functools.cache
-def _inverse_kostka_rows(
-        d: int) -> Mapping[Partition, tuple[tuple[Partition, int], ...]]:
-    """The transpose of ``_inverse_kostka_columns(d)``: for each lam, the
-    pairs (nu, c), the Schur expansion of m_lam, in the same order.
-
-    Cached apart from the columns, so the smaller degrees that only feed
-    the Jacobi-Trudi recursion never hold it.
-    """
-    rows: dict[Partition, list[tuple[Partition, int]]] = {}
-    for nu, col in _inverse_kostka_columns(d).items():
-        for lam, c in col:
-            rows.setdefault(lam, []).append((nu, c))
-    return MappingProxyType({lam: tuple(r) for lam, r in rows.items()})
-
-
-def _schur_by_rows(f: SymFunc) -> dict[Partition, int]:
-    """The Schur coefficients of f, summed from the inverse Kostka rows of
-    its keys, in ``m_to_schur``'s order: degrees ascending, each degree
+def _schur_by_columns(f: SymFunc) -> dict[Partition, int]:
+    """The Schur coefficients of f, [s_nu] f = sum over the inverse Kostka
+    column (lam, c) of nu of f[lam] c, one pass over the columns of each
+    degree of f, in ``m_to_schur``'s order: degrees ascending, each degree
     lex-descending.  Raises ValueError on a key that is not a partition.
 
     ``m_to_schur`` peels instead: one Kostka row per Schur key is cheaper
-    than a whole degree's rows when f has few keys of high degree.
+    than a whole degree's columns when f has few keys of high degree.
     """
     out: dict[Partition, int] = {}
-    for lam, c in f.coeffs.items():
-        row = _inverse_kostka_rows(sum(lam)).get(lam)
-        if row is None:
-            raise ValueError(f"key {lam} is not a partition")
-        for nu, k in row:
-            out[nu] = out.get(nu, 0) + c * k
-    return {nu: out[nu] for nu in sorted(out, key=graded_lex_key) if out[nu]}
+    for d in f.degrees():
+        sub = {lam: c for lam, c in f.coeffs.items() if sum(lam) == d}
+        cols = _inverse_kostka_columns(d)
+        for lam in sub:
+            if lam not in cols:
+                raise ValueError(f"key {lam} is not a partition")
+        for nu, col in cols.items():
+            c = sum(sub.get(lam, 0) * k for lam, k in col)
+            if c:
+                out[nu] = c
+    return out
 
 
 def _pair_with_m(schur: dict, basis: str,
@@ -450,10 +446,14 @@ def _pair_with_m(schur: dict, basis: str,
     Each Schur key nu adds its coefficient times the inverse Kostka
     column of nu; every lam reached has the degree of a key of
     ``schur``, so all of them fit a profile that holds those keys.
+    Raises ValueError on a key that is not a partition.
     """
     out: dict[Partition, int] = {}
     for nu, c in schur.items():
-        for lam, k in _inverse_kostka_columns(sum(nu))[nu]:
+        col = _inverse_kostka_columns(sum(nu)).get(nu)
+        if col is None:
+            raise ValueError(f"key {nu} is not a partition")
+        for lam, k in col:
             out[lam] = out.get(lam, 0) + k * c
     return BasisExpansion(basis, out, trunc)
 
@@ -462,10 +462,12 @@ def m_to_h(f: SymFunc) -> BasisExpansion:
     """Expansion of f in complete homogeneous functions.
 
     Uses the duality of {h} with {m}: the h_lam coefficient is the Hall
-    pairing of f against m_lam, read off the inverse Kostka columns of
-    the Schur support of f, which the inverse Kostka rows give.
+    pairing of f against m_lam.  Both steps read the one inverse Kostka
+    table: its columns give the Schur coefficients of f
+    (``_schur_by_columns``), and the column of each Schur key nu then
+    gives the h-expansion of s_nu.
     """
-    return _pair_with_m(_schur_by_rows(f), "h", f.trunc)
+    return _pair_with_m(_schur_by_columns(f), "h", f.trunc)
 
 
 def m_to_e(f: SymFunc) -> BasisExpansion:
@@ -474,5 +476,5 @@ def m_to_e(f: SymFunc) -> BasisExpansion:
     Composes the h-expansion with the involution swapping s_lam and its
     conjugate: f = sum c_lam e_lam exactly when omega(f) = sum c_lam h_lam.
     """
-    omega = {conjugate(k): c for k, c in _schur_by_rows(f).items()}
+    omega = {conjugate(k): c for k, c in _schur_by_columns(f).items()}
     return _pair_with_m(omega, "e", f.trunc)

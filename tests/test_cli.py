@@ -312,6 +312,14 @@ GOLDEN = (
     ("expand --kind g --shape 2,1 --target h",
      "beca329bc3fa1662bf134c998c759eb39e0aa837b94926efebed64ab3b5c3ce5",
      "35735b14be661644f8c0493dc621ff2e8afd41533e6779e00d1807f49bcaedeb"),
+    # dense h and e targets: G spans degrees 10 to 14 and g degrees 5 to
+    # 15, with many keys in each degree
+    ("expand --kind G --shape 4,3,2,1 --deg 14 --target h",
+     "342a321c9df71c08ecdb3ba6043f9a9525205cb411ff688f58884ab3daa91dfd",
+     "329cc30e2560dcb2ac3a6aee54dab690d3f47d787272d86ecfb4972942780aad"),
+    ("expand --kind g --shape 5,4,3,2,1 --target e",
+     "499610b591494ac26e4a40c8d18c4d933ebff32ced7c442ed3a16ee2cabe17bc",
+     "c37b55b9b8614419a272b6edb5b40e8cd4611b607673b50d11f9686566dc6e9a"),
     ("coeff --family c --nu 1 --mu 1 --target 2,1",
      "1d99f5d3a69d2e5a9be0d1772505744aed085fab121ebda421a7a3d026e1659b",
      "7034b1b18f866f0c7018f47f21cdfc76f7808924d43add45b1b40fac1d6cb55a"),

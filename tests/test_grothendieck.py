@@ -542,14 +542,17 @@ def test_flagged_schur_matches_the_chain_tables(lam, extra):
     g = sf.m_to_schur(dual_g(straight(lam), p))
     assert tb.flagged_schur(tb.SVT, lam, p.max_degree) == G.coeffs
     assert tb.flagged_schur(tb.RPP, lam, p.max_degree) == g.coeffs
-    for basis in "sgG":
+    for basis in sf.BASES:
         for exp in (BasisExpansion(basis, {lam: 1}, p),
                     BasisExpansion(basis, {lam: 2, EMPTY: -1}, p)):
-            # the monomial route the walk replaced is the oracle
+            # the Kostka peel of the monomial realization is the oracle of
+            # the flagged walk (g, G) and of the column scan (m, e, h)
             mono = expansion_to_symfunc(exp)
             want = sf.m_to_schur(mono).coeffs
             assert list(to_schur_expansion(exp).coeffs.items()) == \
                 list(want.items())
+        # m_to_h of the monomial realization, the route _h_expansion
+        # replaced, is the oracle of its one route through the Schur basis
         h = sf.m_to_h(expansion_to_symfunc(
             BasisExpansion(basis, {lam: 1}, p))).coeffs
         assert gr._h_expansion(basis, lam, p) == (tuple(h), tuple(h.values()))

@@ -8,7 +8,13 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from staircase_groth.grothendieck import _h_expansion, big_G
+from staircase_groth.grothendieck import (
+    _h_expansion,
+    big_G,
+    expand_in_G,
+    expand_in_g,
+    skew_by,
+)
 from staircase_groth.shapes import EMPTY, SkewShape, partitions_of
 from staircase_groth.symfunc import (
     BASES,
@@ -16,9 +22,8 @@ from staircase_groth.symfunc import (
     SymFunc,
     TruncationProfile,
     _inverse_kostka_columns,
-    _inverse_kostka_rows,
     _multiset_splits,
-    _schur_by_rows,
+    _schur_by_columns,
     basis_element,
     hall_inner,
     m_to_e,
@@ -314,15 +319,16 @@ P9 = TruncationProfile(9)
 
 
 # Randomized oracle for the Schur step of m_to_h and m_to_e, read from the
-# inverse Kostka rows: the Kostka peel of m_to_schur reads the ssyt chain
-# tables instead, so it checks the Jacobi-Trudi rows independently.
+# inverse Kostka columns: the Kostka peel of m_to_schur reads the ssyt
+# chain tables instead, so it checks the Jacobi-Trudi columns
+# independently.
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(st.dictionaries(st.sampled_from(_KEYS_9),
                        st.integers(min_value=-3, max_value=3), max_size=5))
-def test_schur_by_rows_matches_the_kostka_peel(terms):
+def test_schur_by_columns_matches_the_kostka_peel(terms):
     f = SymFunc(terms, P9)
     # same coefficients in the same order, which m_to_h's output order keeps
-    assert list(_schur_by_rows(f).items()) == \
+    assert list(_schur_by_columns(f).items()) == \
         list(m_to_schur(f).coeffs.items())
     for tag, expand in (("h", m_to_h), ("e", m_to_e)):
         back = SymFunc.zero(P9)
@@ -335,9 +341,11 @@ def test_schur_by_rows_matches_the_kostka_peel(terms):
 def test_keys_that_are_not_partitions_raise(key):
     # no key is read as its sorted form, which another key may also be
     f = SymFunc({key: 1, (1,): 2}, P6)
-    for expand in (m_to_h, m_to_e):
+    for expand in (m_to_h, m_to_e, m_to_schur, expand_in_g, expand_in_G):
         with pytest.raises(ValueError, match=re.escape(str(key))):
             expand(f)
+    with pytest.raises(ValueError, match=re.escape(str(key))):
+        skew_by(BasisExpansion("s", {key: 1}, P6), m((2, 1)))
     with pytest.raises(ValueError, match=re.escape(str(key))):
         f.coproduct
     for left, right in ((f, m((1,))), (m((1,)), f)):
@@ -374,19 +382,14 @@ def test_inverse_kostka_columns_transpose_m_to_schur():
         for lam in partitions_of(d):
             want = m_to_schur(m(lam, TruncationProfile.for_degree(d)))
             assert rows[lam] == want.coeffs
-        if d <= 8:
-            # the cached rows are that transpose, entry by entry, in order
-            assert {lam: tuple(row.items()) for lam, row in rows.items()} \
-                == _inverse_kostka_rows(d)
-            assert list(rows) == list(_inverse_kostka_rows(d))
 
 
 def test_cached_tables_are_read_only():
-    for table in (_inverse_kostka_columns(3), _inverse_kostka_rows(3)):
-        with pytest.raises(TypeError):
-            table[(3,)] = ()
-        with pytest.raises(AttributeError):
-            table[(3,)].append(((3,), 1))
+    table = _inverse_kostka_columns(3)
+    with pytest.raises(TypeError):
+        table[(3,)] = ()
+    with pytest.raises(AttributeError):
+        table[(3,)].append(((3,), 1))
     cop = SymFunc({(2, 1): 1, (1,): 2}, P6).coproduct
     with pytest.raises(TypeError):
         cop.splits[(5,)] = ()
