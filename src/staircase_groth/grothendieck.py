@@ -18,9 +18,11 @@ products and skews in the G basis, the unitriangular expansions into the
 g and G bases, the conjugation involutions on those bases, and the
 skewing operator (the Hall adjoint of multiplication), computed by the
 duality of the h and m bases: the operator's h-expansion pairs against
-the operand's coproduct (``SymFunc.coproduct``), reading only the splits
-whose left factor is a key of that h-expansion and summing into a list
-indexed by the coproduct's numbered right factors.
+the operand's coproduct (``SymFunc.coproduct``), summing into a list
+indexed by its numbered right factors.  The coproduct is a split table
+filled on read: the splits of a left factor are derived from those of
+its prefix the first time some h-expansion names it, so the left factors
+that no operator reads are never built.
 
 A straight g or G key reaches the Schur basis, and from there its
 h-expansion, by a flagged rule with no chain table
@@ -301,24 +303,14 @@ def skew_by(f: BasisExpansion, a: SymFunc) -> SymFunc:
     Skewing by f is (<f, .> (x) id) applied to the coproduct of a.  The h
     and m bases are dual under the Hall inner product, so writing
     f = sum_gamma c_gamma h_gamma gives the coefficient of m_beta in the
-    result as sum_gamma c_gamma [m_{gamma u beta}] a: each key of f
-    pairs its cached h-expansion against the operand's coproduct,
-    reading only the gammas that expansion has; each split names its
-    beta by index, so the sum runs in a flat list and each beta is
-    hashed once, when the coproduct is built.  Each key is taken as a
-    ``BasisExpansion`` at a's profile: a key above a's cap drops out,
-    except a g key, which raises ValueError.  Satisfies the adjunction
-    <g, skew_by(f, a)> = <f g, a>.
+    result as sum_gamma c_gamma [m_{gamma u beta}] a.  Each key of f
+    pairs its cached h-expansion against the operand's split table
+    (``SymFunc.coproduct``), which derives the splits of each gamma there
+    on its first read, so only those left factors and their prefixes are
+    ever built.  Each key is taken as a ``BasisExpansion`` at a's
+    profile: a key above a's cap drops out, except a g key, which raises
+    ValueError.  Satisfies the adjunction <g, skew_by(f, a)> = <f g, a>.
     """
-    betas, splits = a.coproduct
-    out = [0] * len(betas)
-    for key, c in f.coeffs.items():
-        gammas, ks = _h_expansion(f.basis, key, a.trunc)
-        for gamma, k in zip(gammas, ks):
-            js_cs = splits.get(gamma)
-            if js_cs is not None:
-                kc = k * c
-                js, cs = js_cs
-                for j, cj in zip(js, cs):
-                    out[j] += kc * cj
-    return SymFunc({betas[j]: c for j, c in enumerate(out) if c}, a.trunc)
+    return SymFunc(a.coproduct.contract(
+        (c, _h_expansion(f.basis, key, a.trunc))
+        for key, c in f.coeffs.items()), a.trunc)

@@ -18,7 +18,7 @@ import functools
 from collections import Counter
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping
 
 from . import tableaux
 from .shapes import (
@@ -69,18 +69,114 @@ def _clean(coeffs: dict, trunc: TruncationProfile, basis: str = "m") -> dict:
     return out
 
 
-class Coproduct(NamedTuple):
-    """A ``SymFunc``'s coproduct with its right factors numbered.
+class Coproduct:
+    """The m-basis coproduct of a ``SymFunc``, Delta m_lam = sum over
+    gamma u beta = lam of m_gamma (x) m_beta, as a split table filled on
+    read, with its right factors numbered.
 
-    ``splits`` maps each left factor gamma to two parallel tuples
-    (js, cs): the i-th split is gamma (x) betas[js[i]] with coefficient
-    cs[i].  A reader that accumulates by beta indexes a list by j instead
-    of hashing beta, and the splits cost two tuple slots each, not a
-    tuple of their own.
+    ``self[gamma]`` is two parallel tuples (js, cs): the i-th split is
+    gamma (x) betas[js[i]], from the key gamma u betas[js[i]] with
+    coefficient cs[i]; both are empty when gamma is in no key.  The entry
+    of () holds the keys themselves.  Any other gamma, a partition, is
+    derived on its first read from gamma less its smallest part k: each
+    right factor there that has a part k, less one k.  So only the gammas
+    that are read, and their prefixes, are ever built.
+
+    Each right factor carries a mixed-radix code, the sum of
+    base^(part - 1) with base = cap + 1, more than any part's
+    multiplicity in a key of degree at most cap: "has a part k" is a
+    digit test and removing one k a subtraction.
+
+    ``splits`` is a read-only view of the entries derived so far, with
+    () for a gamma in no key, and ``betas`` lists the right factors they
+    name, each once, in the order the derivations met them.  Raises
+    ValueError when a key is not a partition.
     """
 
-    betas: tuple[Partition, ...]
-    splits: Mapping[Partition, tuple[tuple[int, ...], tuple[int, ...]]]
+    __slots__ = ("_base", "_betas", "_codes", "_index", "_table")
+
+    def __init__(self, coeffs: Mapping[Partition, int], cap: int):
+        for lam in coeffs:
+            _require_partition(lam)
+        self._base = base = cap + 1
+        self._betas = list(coeffs)
+        self._codes = [sum(base ** (v - 1) for v in lam) for lam in coeffs]
+        self._index = {code: j for j, code in enumerate(self._codes)}
+        self._table = {EMPTY: (tuple(range(len(coeffs))),
+                               tuple(coeffs.values())) if coeffs else ()}
+
+    @property
+    def betas(self) -> tuple[Partition, ...]:
+        return tuple(self._betas)
+
+    @property
+    def splits(self) -> Mapping[Partition, tuple]:
+        return MappingProxyType(self._table)
+
+    def __getitem__(self, gamma: Partition
+                    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        entry = self._table.get(gamma)
+        if entry is None:
+            entry = self._derive(gamma)
+        return entry or ((), ())
+
+    def _derive(self, gamma: Partition) -> tuple:
+        """Store and return the entry of gamma, () when gamma is in no
+        key, from that of gamma less its smallest part k, derived first
+        if need be.  Raises ValueError unless gamma is a partition; each
+        prefix checks its own last part."""
+        k = gamma[-1]
+        if k < 1 or (len(gamma) > 1 and gamma[-2] < k):
+            raise ValueError(f"left factor {gamma} is not a partition")
+        table = self._table
+        prefix = gamma[:-1]
+        parent = table.get(prefix)
+        if parent is None:
+            parent = self._derive(prefix)
+        out_js: list[int] = []
+        out_cs: list[int] = []
+        if parent:
+            betas, codes, index = self._betas, self._codes, self._index
+            unit = self._base ** (k - 1)
+            digit_k = unit * self._base
+            for j, c in zip(*parent):
+                code = codes[j]
+                if code % digit_k >= unit:
+                    code -= unit
+                    i = index.get(code)
+                    if i is None:
+                        i = index[code] = len(betas)
+                        beta = betas[j]
+                        at = beta.index(k)
+                        betas.append(beta[:at] + beta[at + 1:])
+                        codes.append(code)
+                    out_js.append(i)
+                    out_cs.append(c)
+        entry = table[gamma] = (tuple(out_js), tuple(out_cs)) if out_js else ()
+        return entry
+
+    def contract(self, terms: Iterable[tuple[int, tuple[
+            tuple[Partition, ...], tuple[int, ...]]]]) -> dict[Partition, int]:
+        """(<f, .> (x) id) of the coproduct, for f = sum over terms
+        (c, (gammas, ks)) of c times sum_i ks[i] h_{gammas[i]}: h and m
+        are dual, so the coefficient of m_beta is the sum of c ks[i]
+        times the coefficient of the key gammas[i] u beta.  Sums into
+        one list indexed by right factor, extended when a derivation
+        adds a new one."""
+        table, betas = self._table, self._betas
+        out = [0] * len(betas)
+        for c, (gammas, ks) in terms:
+            for gamma, k in zip(gammas, ks):
+                entry = table.get(gamma)
+                if entry is None:
+                    entry = self._derive(gamma)
+                    out += [0] * (len(betas) - len(out))
+                if entry:
+                    kc = k * c
+                    js, cs = entry
+                    for j, cj in zip(js, cs):
+                        out[j] += kc * cj
+        return {betas[j]: c for j, c in enumerate(out) if c}
 
 
 @dataclass(frozen=True)
@@ -99,23 +195,10 @@ class SymFunc:
 
     @functools.cached_property
     def coproduct(self) -> Coproduct:
-        """The m-basis coproduct, Delta m_lam = sum over gamma u beta = lam
-        of m_gamma (x) m_beta, indexed by the left factor and by an
-        integer per right factor: ``betas`` lists each distinct beta once,
-        in first-seen order, and ``splits`` maps each gamma to the
-        parallel tuples (js, cs), one entry per key lam = gamma u
-        betas[j] with coefficient c.  Read-only; built on first use."""
-        index: dict[Partition, int] = {}
-        out: dict[Partition, tuple[list[int], list[int]]] = {}
-        for lam, c in self.coeffs.items():
-            for gamma, beta in _multiset_splits(lam):
-                js_cs = out.get(gamma)
-                if js_cs is None:
-                    js_cs = out[gamma] = ([], [])
-                js_cs[0].append(index.setdefault(beta, len(index)))
-                js_cs[1].append(c)
-        return Coproduct(tuple(index), MappingProxyType(
-            {g: (tuple(js), tuple(cs)) for g, (js, cs) in out.items()}))
+        """The m-basis coproduct as a split table, filled as it is read
+        (``Coproduct``).  Raises ValueError when a key is not a
+        partition."""
+        return Coproduct(self.coeffs, self.trunc.max_degree)
 
     @classmethod
     def zero(cls, trunc: TruncationProfile) -> "SymFunc":
@@ -344,43 +427,29 @@ def hall_inner(f: BasisExpansion, g: BasisExpansion) -> int:
     return sum(c * g.coeffs.get(k, 0) for k, c in f.coeffs.items())
 
 
-def _multiset_splits(lam: Partition) -> list[tuple[Partition, Partition]]:
-    """All ways to split the parts of lam into two sub-multisets
-    (gamma, beta), each once.
-
-    Built run by run of equal parts: each split so far is extended by
-    every way to share the next run, t parts to gamma and the rest to
-    beta, t ascending, so earlier (larger) runs vary slowest.  Raises
-    ValueError when lam is not a partition.
-    """
-    splits = [(EMPTY, EMPTY)]
-    n = len(lam)
-    i = 0
-    while i < n:
-        v = lam[i]
-        j = i + 1
-        while j < n and lam[j] == v:
-            j += 1
-        if v < 1 or (j < n and lam[j] > v):
-            raise ValueError(f"key {lam} is not a partition")
-        run = lam[i:j]
-        shares = [(run[:t], run[t:]) for t in range(j - i + 1)]
-        splits = [(a + x, b + y) for a, b in splits for x, y in shares]
-        i = j
-    return splits
-
-
 def split_alphabets(f: SymFunc) -> dict:
     """Coefficients of m_alpha(x) m_beta(y) in f(x, y).
 
     A monomial function splits over two alphabets by distributing its
     parts: m_lam(x, y) = sum over multiset splits alpha ++ beta = lam of
-    m_alpha(x) m_beta(y), which is f's coproduct; each beta is read back
-    from the coproduct's index as ``betas[j]``.
+    m_alpha(x) m_beta(y), which is f's coproduct.  Every alpha is read
+    through the coproduct's table: alpha + (k,), k at most alpha's
+    smallest part, has splits exactly when a right factor of alpha has a
+    part k.
     """
-    betas, splits = f.coproduct
-    return {(alpha, betas[j]): c
-            for alpha, (js, cs) in splits.items() for j, c in zip(js, cs)}
+    cop = f.coproduct
+    betas = cop._betas
+    out = {}
+    todo = [EMPTY]
+    while todo:
+        alpha = todo.pop()
+        parts = set()
+        for j, c in zip(*cop[alpha]):
+            out[alpha, betas[j]] = c
+            parts.update(betas[j])
+        todo.extend(alpha + (k,) for k in parts
+                    if not alpha or k <= alpha[-1])
+    return out
 
 
 @functools.cache
@@ -419,7 +488,10 @@ def _schur_by_columns(f: SymFunc) -> dict[Partition, int]:
     """The Schur coefficients of f, [s_nu] f = sum over the inverse Kostka
     column (lam, c) of nu of f[lam] c, one pass over the columns of each
     degree of f, in ``m_to_schur``'s order: degrees ascending, each degree
-    lex-descending.  Raises ValueError on a key that is not a partition.
+    lex-descending.  The column of nu holds only lam that dominate nu,
+    and dominance implies lex order, so a column whose nu is lex-above
+    every key of f in its degree sums to 0 and is skipped.  Raises
+    ValueError on a key that is not a partition.
 
     ``m_to_schur`` peels instead: one Kostka row per Schur key is cheaper
     than a whole degree's columns when f has few keys of high degree.
@@ -431,7 +503,10 @@ def _schur_by_columns(f: SymFunc) -> dict[Partition, int]:
         for lam in sub:
             if lam not in cols:
                 raise ValueError(f"key {lam} is not a partition")
+        top = max(sub)
         for nu, col in cols.items():
+            if nu > top:
+                continue
             c = sum(sub.get(lam, 0) * k for lam, k in col)
             if c:
                 out[nu] = c

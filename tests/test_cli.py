@@ -370,6 +370,10 @@ GOLDEN = (
     ("verify --suite hopf --n 3",
      "d59c49a78941a169573e88415f1f47ac8f7949b68fc42072ff5b7e11a74c93e1",
      "19fb87621238f9a342094ac10150fa90087ba0c00bcd803340e9344718f24b9f"),
+    # the n the hopf4 benchmark workload replays; about 0.5 s
+    ("verify --suite hopf --n 4",
+     "4ddae4f5e0828a38b3b46128b811fd92208fa89e94c82a077efb6a58ae7c8bdc",
+     "15b37d83e22a7b87cb4e5964262cb85645a91cfc28af2b1a580d2c341b8c8d09"),
     ("verify --suite hopf --n 2 --deg 5 --include skew-G,double-sum,ek-tau",
      "d07183a3f81bda7cb1d385cab4cb28243c83c099dcb66e99f5bb288aa90ed3fe",
      "57131e80b6fc085437c61252d51a893b1416c2cd2da2f1cde50472063d197741"),

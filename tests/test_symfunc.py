@@ -4,6 +4,7 @@ import random
 import re
 import tracemalloc
 from itertools import combinations
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,14 +16,19 @@ from staircase_groth.grothendieck import (
     expand_in_g,
     skew_by,
 )
-from staircase_groth.shapes import EMPTY, SkewShape, partitions_of
+from staircase_groth.shapes import (
+    EMPTY,
+    SkewShape,
+    graded_lex_key,
+    partitions_of,
+    subpartitions,
+)
 from staircase_groth.symfunc import (
     BASES,
     BasisExpansion,
     SymFunc,
     TruncationProfile,
     _inverse_kostka_columns,
-    _multiset_splits,
     _schur_by_columns,
     basis_element,
     hall_inner,
@@ -202,27 +208,50 @@ def _splits_by_combinations(lam):
                    tuple(lam[i] for i in idx if i not in chosen))
 
 
+def _splits_by_gamma(f):
+    """The brute-force coproduct of f: gamma -> {beta: coefficient}."""
+    want = {}
+    for lam, c in f.coeffs.items():
+        for gamma, beta in set(_splits_by_combinations(lam)):
+            want.setdefault(gamma, {})[beta] = c
+    return want
+
+
 def _check_beta_index(cop):
-    """betas holds each right factor once, each gamma's js and cs are
-    parallel tuples, and the splits reference every index, each in
-    range."""
-    betas, splits = cop
+    """betas holds each right factor once, each derived entry is () or
+    parallel tuples (js, cs), and the entries reference every index,
+    each in range."""
+    betas = cop.betas
     assert isinstance(betas, tuple)
     assert len(betas) == len(set(betas))
-    for js, cs in splits.values():
-        assert isinstance(js, tuple) and isinstance(cs, tuple)
-        assert len(js) == len(cs)
-    used = {j for js, _ in splits.values() for j in js}
+    for entry in cop.splits.values():
+        assert isinstance(entry, tuple)
+        if entry:
+            js, cs = entry
+            assert isinstance(js, tuple) and isinstance(cs, tuple)
+            assert len(js) == len(cs) > 0
+    used = {j for entry in cop.splits.values() if entry for j in entry[0]}
     assert all(0 <= j < len(betas) for j in used)
     assert used == set(range(len(betas)))
 
 
+def _read(cop, gamma):
+    """The entry of gamma as {beta: coefficient}."""
+    js, cs = cop[gamma]
+    betas = cop.betas
+    assert len(js) == len(set(js))
+    return {betas[j]: c for j, c in zip(js, cs)}
+
+
 def test_coproduct_matches_combinations():
+    # split_alphabets reads every gamma with splits through the table
     for lam in all_partitions_up_to(8):
-        cop = SymFunc({lam: 1}, P8).coproduct
+        f = SymFunc({lam: 1}, P8)
+        split_alphabets(f)
+        cop = f.coproduct
         _check_beta_index(cop)
-        got = [(gamma, cop.betas[j]) for gamma, (js, _) in cop.splits.items()
-               for j in js]
+        got = [(gamma, cop.betas[j]) for gamma, entry in cop.splits.items()
+               for j in entry[0]]
         assert len(got) == len(set(got))
         assert set(got) == set(_splits_by_combinations(lam))
         assert all(c == 1 for _, cs in cop.splits.values() for c in cs)
@@ -233,17 +262,40 @@ def test_coproduct_matches_combinations():
                        st.integers(min_value=-3, max_value=3), max_size=6))
 def test_coproduct_sums_the_splits_of_each_key(terms):
     f = SymFunc(terms, P6)
-    want = {}
-    for lam, c in f.coeffs.items():
-        for gamma, beta in set(_splits_by_combinations(lam)):
-            want.setdefault(gamma, {})[beta] = c
+    want = _splits_by_gamma(f)
     cop = f.coproduct
+    for gamma in sorted(want, key=graded_lex_key):
+        assert _read(cop, gamma) == want[gamma]
     _check_beta_index(cop)
-    assert set(cop.splits) == set(want)
-    for gamma, (js, cs) in cop.splits.items():
-        assert isinstance(js, tuple) and isinstance(cs, tuple)
-        assert len(js) == len(want[gamma])
-        assert {cop.betas[j]: c for j, c in zip(js, cs)} == want[gamma]
+    assert {g for g, entry in cop.splits.items() if entry} == set(want)
+
+
+# gammas in no key of any f below: too large, or with a part above 6
+_GAMMAS_IN_NO_KEY = [(7,), (2, 2, 2, 1), (4, 3), (3, 3, 1, 1), (9, 1)]
+
+
+# Randomized oracle for the lazily filled split table: gammas are read in
+# a drawn order, with repeats and gammas in no key, and every entry
+# derived on the way, prefixes included, must be the brute-force one.
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.dictionaries(st.sampled_from(_KEYS_6),
+                       st.integers(min_value=-3, max_value=3), max_size=6),
+       st.data())
+def test_split_table_is_filled_in_any_order(terms, data):
+    f = SymFunc(terms, P6)
+    want = _splits_by_gamma(f)
+    pool = sorted(set(want) | set(_KEYS_6[:12]) | set(_GAMMAS_IN_NO_KEY),
+                  key=graded_lex_key)
+    reads = data.draw(st.lists(st.sampled_from(pool), max_size=30))
+    reads = data.draw(st.permutations(reads + reads[::2]))
+    cop = f.coproduct
+    for gamma in reads:
+        assert _read(cop, gamma) == want.get(gamma, {}), gamma
+    prefixes = {gamma[:i] for gamma in reads for i in range(len(gamma) + 1)}
+    assert set(cop.splits) == prefixes | {EMPTY}
+    for gamma in cop.splits:
+        assert _read(cop, gamma) == want.get(gamma, {}), gamma
+    _check_beta_index(cop)
 
 
 def test_split_alphabets_matches_combinations():
@@ -254,6 +306,19 @@ def test_split_alphabets_matches_combinations():
         for key in set(_splits_by_combinations(lam)):
             want[key] = want.get(key, 0) + c
     assert split_alphabets(f) == want
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.dictionaries(st.sampled_from(_KEYS_6),
+                       st.integers(min_value=-3, max_value=3), max_size=6))
+def test_split_alphabets_of_random_f_matches_combinations(terms):
+    f = SymFunc(terms, P6)
+    want = {}
+    for lam, c in f.coeffs.items():
+        for key in set(_splits_by_combinations(lam)):
+            want[key] = want.get(key, 0) + c
+    assert split_alphabets(f) == want
+    _check_beta_index(f.coproduct)
 
 
 def test_split_is_multiplicative():
@@ -337,6 +402,29 @@ def test_schur_by_columns_matches_the_kostka_peel(terms):
         assert back.coeffs == f.coeffs
 
 
+def _schur_by_every_column(f):
+    """[s_nu] f summed over every inverse Kostka column of each degree."""
+    out = {}
+    for d in f.degrees():
+        sub = {lam: c for lam, c in f.coeffs.items() if sum(lam) == d}
+        for nu, col in _inverse_kostka_columns(d).items():
+            c = sum(sub.get(lam, 0) * k for lam, k in col)
+            if c:
+                out[nu] = c
+    return out
+
+
+# _schur_by_columns skips each column whose nu is lex-above every key of
+# its degree; the skipped columns must all have summed to 0
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.dictionaries(st.sampled_from(_KEYS_9),
+                       st.integers(min_value=-3, max_value=3), max_size=5))
+def test_schur_by_columns_skips_only_zero_columns(terms):
+    f = SymFunc(terms, P9)
+    assert list(_schur_by_columns(f).items()) == \
+        list(_schur_by_every_column(f).items())
+
+
 @pytest.mark.parametrize("key", [(1, 2), (2, 0), (2, 0, 1), (1, 1, 2)])
 def test_keys_that_are_not_partitions_raise(key):
     # no key is read as its sorted form, which another key may also be
@@ -351,21 +439,9 @@ def test_keys_that_are_not_partitions_raise(key):
     for left, right in ((f, m((1,))), (m((1,)), f)):
         with pytest.raises(ValueError, match=re.escape(str(key))):
             multiply(left, right)
+    # nor is a left factor read from the split table
     with pytest.raises(ValueError, match=re.escape(str(key))):
-        _multiset_splits(key)
-
-
-def brute_splits(lam):
-    """Every (gamma, beta) from a set of positions, each once, ordered by
-    how many parts of each size gamma takes, largest size first."""
-    sizes = sorted(set(lam), reverse=True)
-    return sorted(set(_splits_by_combinations(lam)),
-                  key=lambda s: [s[0].count(v) for v in sizes])
-
-
-def test_multiset_splits_match_brute_force():
-    for lam in all_partitions_up_to(10):
-        assert _multiset_splits(lam) == brute_splits(lam), lam
+        m((2, 1)).coproduct[key]
 
 
 def test_inverse_kostka_columns_transpose_m_to_schur():
@@ -378,6 +454,7 @@ def test_inverse_kostka_columns_transpose_m_to_schur():
             assert isinstance(col, tuple)
             for lam, c in col:
                 assert c
+                assert lam >= nu  # lam dominates nu, so is lex-above it
                 rows.setdefault(lam, {})[nu] = c
         for lam in partitions_of(d):
             want = m_to_schur(m(lam, TruncationProfile.for_degree(d)))
@@ -391,6 +468,8 @@ def test_cached_tables_are_read_only():
     with pytest.raises(AttributeError):
         table[(3,)].append(((3,), 1))
     cop = SymFunc({(2, 1): 1, (1,): 2}, P6).coproduct
+    for gamma in ((1,), (2, 1), (3,)):  # the last is in no key
+        cop[gamma]
     with pytest.raises(TypeError):
         cop.splits[(5,)] = ()
     assert all(isinstance(pairs, tuple) for pairs in cop.splits.values())
@@ -399,9 +478,13 @@ def test_cached_tables_are_read_only():
     with pytest.raises(AttributeError):
         cop.splits[(1,)][0].append(0)
     with pytest.raises(AttributeError):
+        cop[(1,)][0].append(0)
+    with pytest.raises(AttributeError):
         cop.betas.append((5,))
     with pytest.raises(AttributeError):
         cop.betas = ()
+    with pytest.raises(AttributeError):
+        cop.splits = {}
     h = _h_expansion("G", (2, 1), P6)
     assert isinstance(h, tuple)
     assert all(isinstance(term, tuple) for term in h)
@@ -410,14 +493,19 @@ def test_cached_tables_are_read_only():
 
 
 def test_coproduct_of_G_rho4_is_compact():
-    # a split is an index and a coefficient in two parallel tuples:
-    # G_{rho_4} at degree 22 has 46,024 splits, held in about 25 bytes
-    # each; a (j, c) tuple per split would cost about 70
+    # the 42 skews by g_mu of G_{rho_4} at degree 22 read 46 left factors
+    # with splits besides (), which hold 16,242 of the 46,024 splits;
+    # each costs an index and a coefficient in two parallel tuples, and
+    # with the right factors it names the table keeps under 40 bytes a
+    # split
     trunc = TruncationProfile(22)
     f = SymFunc(dict(big_G(SkewShape((4, 3, 2, 1), EMPTY), trunc).coeffs),
                 trunc)
-    n_splits = sum(len(_multiset_splits(lam)) for lam in f.coeffs)
-    assert n_splits == 46024
+    ops = [BasisExpansion("g", {mu: 1}, trunc)
+           for mu in subpartitions((4, 3, 2, 1))]
+    assert len(ops) == 42
+    for op in ops:  # the h-expansions are cached, not the table's
+        _h_expansion("g", next(iter(op.coeffs)), trunc)
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
@@ -425,13 +513,22 @@ def test_coproduct_of_G_rho4_is_compact():
         gc.collect()
         before = tracemalloc.get_traced_memory()[0]
         cop = f.coproduct
+        for op in ops:
+            skew_by(op, f)
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         if started:
             tracemalloc.stop()
-    assert retained <= 40 * n_splits, retained / n_splits
-    assert sum(len(js) for js, _ in cop.splits.values()) == n_splits
+    keys = len(f.coeffs)
+    assert len(cop.splits[EMPTY][0]) == keys == 897
+    derived = {g: len(e[0]) for g, e in cop.splits.items() if e and g}
+    assert len(derived) == 46
+    n_splits = sum(derived.values())
+    assert n_splits == 16242
+    assert sum(prod(lam.count(v) + 1 for v in set(lam))
+               for lam in f.coeffs) == 46024
+    assert retained <= 40 * (n_splits + keys), retained / (n_splits + keys)
 
 
 def test_m_to_e_of_h2():
