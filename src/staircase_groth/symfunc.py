@@ -224,6 +224,8 @@ class SymFunc:
                 f"truncation profile mismatch: {self.trunc} vs {other.trunc}")
 
     def __add__(self, other: "SymFunc") -> "SymFunc":
+        if not isinstance(other, SymFunc):
+            return NotImplemented
         self._require_same_profile(other)
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
@@ -234,6 +236,8 @@ class SymFunc:
         return SymFunc({k: -c for k, c in self.coeffs.items()}, self.trunc)
 
     def __sub__(self, other: "SymFunc") -> "SymFunc":
+        if not isinstance(other, SymFunc):
+            return NotImplemented
         return self + (-other)
 
     def scale(self, n: int) -> "SymFunc":
@@ -242,6 +246,8 @@ class SymFunc:
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
+        if not isinstance(other, SymFunc):
+            return NotImplemented
         return multiply(self, other)
 
     def __rmul__(self, other):

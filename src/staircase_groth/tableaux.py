@@ -51,7 +51,8 @@ content of that size at once.  Both are memoized in one cache of those
 fillings keyed by the caller's skew shape, so one search per shape and
 content (or size) serves every reader: ``count_lattice_fillings`` (and
 ``grothendieck.alpha``, from the sweep) read how many fillings it holds,
-and ``iter_lattice_fillings`` rebuilds them as ``SetFilling`` objects.
+and ``iter_lattice_fillings`` hands each out as a plain ``{cell: set}``
+map, unvalidated: the search builds only valid svt.
 """
 
 from __future__ import annotations
@@ -726,10 +727,11 @@ def count_lattice_fillings(shape: SkewShape, content: Partition) -> int:
     return len(_lattice_table(shape, sum(content), content).get(content, ()))
 
 
-def iter_lattice_fillings(shape: SkewShape, content: Partition) -> Iterator[SetFilling]:
-    """Materialize the fillings behind ``count_lattice_fillings``, from
-    the same cached search."""
+def iter_lattice_fillings(shape: SkewShape, content: Partition
+                          ) -> Iterator[dict[Cell, Word]]:
+    """The fillings behind ``count_lattice_fillings``, from the same
+    cached search, each as a fresh map from cell to its ascending set."""
     content = partition(content)
     order = _reading_order(shape)[0]
     for leaf in _lattice_table(shape, sum(content), content).get(content, ()):
-        yield SetFilling(shape, dict(zip(order, leaf)))
+        yield dict(zip(order, leaf))

@@ -188,40 +188,23 @@ def verify_stembridge_G(n: int = 3, extra_degrees: int = 3) -> Report:
 # lattice counting suites
 
 
-def _nu_block_uniform(filling: tb.SetFilling, nu: Partition, width: int) -> bool:
-    # in the joined shape, row i of the upper-right block must be all {i}
-    for (r, c), vals in filling.entries.items():
-        if r <= len(nu) and c > width and vals != (r,):
-            return False
-    return True
-
-
-def _lower_block_multiplicity_free(filling: tb.SetFilling, nu: Partition) -> bool:
-    seen: set[int] = set()
-    for (r, _c), vals in filling.entries.items():
-        if r <= len(nu):
-            continue
-        for v in vals:
-            if v in seen:
-                return False
-            seen.add(v)
-    return True
-
-
 def _block_witness(nu: Partition, mu: Partition, rho: Partition) -> dict | None:
     """The first lattice filling of nu * mu with content rho that breaks
-    a block lemma, or None when every filling keeps both."""
+    a block lemma, or None when every filling keeps both: each row i of
+    the upper block (rows 1..len(nu), all right of mu) is all {i}, and
+    the lower block repeats no value."""
     shape = star_join(nu, mu)
+    top = len(nu)
     for filling in tb.iter_lattice_fillings(shape, rho):
-        if not _nu_block_uniform(filling, nu, mu[0] if mu else 0):
+        lower = [v for (r, _), vals in filling.items() if r > top for v in vals]
+        if any(vals != (r,) for (r, _), vals in filling.items() if r <= top):
             violation = "upper block row holds more than {i}"
-        elif not _lower_block_multiplicity_free(filling, nu):
+        elif len(lower) != len(set(lower)):
             violation = "lower block repeats a value"
         else:
             continue
         return {"shape": format_skew(shape), "violation": violation,
-                "entries": {str(c): list(v) for c, v in
-                            sorted(filling.entries.items())}}
+                "entries": {str(c): list(v) for c, v in sorted(filling.items())}}
     return None
 
 

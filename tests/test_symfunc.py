@@ -99,6 +99,30 @@ def test_multiply_examples():
     assert (e1 * e1 - e2.scale(2)).coeffs == {(2,): 1}
 
 
+def test_arithmetic_refuses_other_operands():
+    # a foreign operand gets TypeError from Python, on either side, not
+    # an AttributeError from inside the method
+    f = m((2, 1)) + m((1,))
+    for other in (1.5, 1, "x", None, {(1,): 1}):
+        for op in (lambda a, b: a + b, lambda a, b: a - b):
+            with pytest.raises(TypeError):
+                op(f, other)
+            with pytest.raises(TypeError):
+                op(other, f)
+        if not isinstance(other, int):
+            with pytest.raises(TypeError):
+                f * other
+            with pytest.raises(TypeError):
+                other * f
+    # an int scales from either side, and SymFunc arithmetic is unchanged
+    assert (f * 3).coeffs == (3 * f).coeffs == f.scale(3).coeffs
+    assert (f * True).coeffs == f.coeffs
+    assert (f * 0).is_zero()
+    assert (f - f).is_zero()
+    assert (f + f).coeffs == f.scale(2).coeffs
+    assert (m((1,)) * m((1,))).coeffs == {(2,): 1, (1, 1): 2}
+
+
 def test_multiply_truncates():
     p = TruncationProfile(2)
     f = basis_element("m", (2,), p)

@@ -548,7 +548,8 @@ def test_iter_lattice_fillings_consistent_with_count():
             (SkewShape((3, 2, 1), (2,)), (2, 2, 1))):
         fillings = list(tb.iter_lattice_fillings(shape, content))
         assert len(fillings) == tb.count_lattice_fillings(shape, content)
-        for t in fillings:
+        for entries in fillings:
+            t = SetFilling(shape, entries)
             assert tb.is_svt(t)
             word = tb.reverse_reading_word(t)
             assert tb.is_lattice(word)
@@ -584,6 +585,50 @@ def test_lattice_counts_match_stream(shape, extra):
         assert tb.count_lattice_fillings(shape, c) == expected[c], c
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from(LATTICE_SHAPES), st.integers(min_value=0, max_value=2))
+def test_iter_lattice_fillings_match_stream(shape, extra):
+    # the maps handed out are exactly the lattice svt of the filtered
+    # stream, content by content, and each one validates as a SetFilling
+    total = shape.size() + extra
+    expected = {}
+    for t in tb.enumerate_fillings(shape, SVT, max(total, 1),
+                                   max_total_size=total):
+        if t.total_size() == total and tb.is_lattice(tb.reverse_reading_word(t)):
+            expected.setdefault(tb.content_of(t, SVT), set()).add(
+                frozenset(t.entries.items()))
+    for c in partitions_of(total):
+        got = list(tb.iter_lattice_fillings(shape, c))
+        assert len(got) == len(expected.get(c, ()))
+        assert {frozenset(m.items()) for m in got} == expected.get(c, set()), c
+        for entries in got:
+            t = SetFilling(shape, entries)
+            assert tb.is_svt(t)
+            assert t.total_size() == total
+
+
+def lattice_support_bound(shape):
+    """B(shape): the sum over cells (r, c) of r, less the number of cells
+    of the shape above (r, c) in column c."""
+    cells = set(shape.cells())
+    return sum(r - sum((q, c) in cells for q in range(1, r)) for r, c in cells)
+
+
+def test_lattice_fillings_stop_at_the_support_bound():
+    # empirical: no lattice svt of a skew shape inside |lam| <= 8 holds
+    # more than B(shape) letters, and B is attained by 351 of the 862
+    shapes = [SkewShape(lam, mu) for d in range(9) for lam in partitions_of(d)
+              for mu in subpartitions(lam)]
+    assert len(shapes) == 862
+    attained = 0
+    for shape in shapes:
+        b = lattice_support_bound(shape)
+        assert not tb._lattice_table(shape, b + 1, None), shape
+        assert not tb._lattice_table(shape, b + 2, None), shape
+        attained += bool(tb._lattice_table(shape, b, None))
+    assert attained == 351
+
+
 def test_lattice_block_lemmas_exhaustive():
     # staircase-content fillings of the joined shapes: the upper block is
     # row-constant and the lower block never repeats a value
@@ -594,10 +639,10 @@ def test_lattice_block_lemmas_exhaustive():
                 for nu in subpartitions(rho):
                     shape = star_join(nu, mu)
                     for t in tb.iter_lattice_fillings(shape, rho):
-                        for (r, c), vals in t.entries.items():
+                        for (r, c), vals in t.items():
                             if r <= len(nu):
                                 assert vals == (r,)
-                        lower = [v for (r, _), vals in t.entries.items()
+                        lower = [v for (r, _), vals in t.items()
                                  if r > len(nu) for v in vals]
                         assert len(lower) == len(set(lower))
 
@@ -610,7 +655,7 @@ def test_lattice_upper_block_row_constant_for_general_joins():
         for mu in subpartitions(rho):
             shape = star_join(nu, mu)
             for t in tb.iter_lattice_fillings(shape, rho):
-                for (r, c), vals in t.entries.items():
+                for (r, c), vals in t.items():
                     if r <= len(nu):
                         assert vals == (r,)
 

@@ -176,7 +176,7 @@ def _all_ones_unless_last_row_2(real):
     def fillings(shape, content):
         if shape.outer[-1] == 2:
             return real(shape, content)
-        return iter([tb.SetFilling(shape, {c: (1,) for c in shape.cells()})])
+        return iter([{c: (1,) for c in shape.cells()}])
     return fillings
 
 
