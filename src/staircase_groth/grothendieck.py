@@ -47,13 +47,12 @@ from .shapes import (
     EMPTY,
     Partition,
     SkewShape,
-    classify_strip,
     conjugate,
     contains,
     graded_lex_key,
     partition,
+    rook_strip_inners,
     star_join,
-    subpartitions,
 )
 from .symfunc import (
     BasisExpansion,
@@ -126,7 +125,9 @@ def big_G_double(outer: Partition, mu: Partition,
     """Alternating rook-strip sum G_{outer//mu}.
 
     Sums (-1)^{|mu/sigma|} G_{outer/sigma} over the sigma inside mu for
-    which mu/sigma is a rook strip.
+    which mu/sigma is a rook strip.  Those are exactly the sets of corners
+    of mu (``shapes.rook_strip_inners``), so the sum runs over the
+    2^{#corners} corner subsets, not over every sigma inside mu.
     """
     outer = partition(outer)
     mu = partition(mu)
@@ -139,10 +140,8 @@ def big_G_double(outer: Partition, mu: Partition,
 def _big_G_double_cached(outer: Partition, mu: Partition,
                          trunc: TruncationProfile) -> SymFunc:
     coeffs: dict[Partition, int] = {}
-    for sigma in subpartitions(mu):
-        if not classify_strip(SkewShape(mu, sigma)).rook:
-            continue
-        sign = -1 if (sum(mu) - sum(sigma)) % 2 else 1
+    for sigma, cells in rook_strip_inners(mu):
+        sign = -1 if cells % 2 else 1
         for k, c in big_G(SkewShape(outer, sigma), trunc).coeffs.items():
             coeffs[k] = coeffs.get(k, 0) + sign * c
     return SymFunc(coeffs, trunc)
@@ -311,6 +310,8 @@ def skew_by(f: BasisExpansion, a: SymFunc) -> SymFunc:
     profile: a key above a's cap drops out, except a g key, which raises
     ValueError.  Satisfies the adjunction <g, skew_by(f, a)> = <f g, a>.
     """
-    return SymFunc(a.coproduct.contract(
+    # clean as it stands: the contraction keeps only nonzero sums, and
+    # its keys are right factors of a's keys, within a's cap
+    return SymFunc._from_clean(a.coproduct.contract(
         (c, _h_expansion(f.basis, key, a.trunc))
         for key, c in f.coeffs.items()), a.trunc)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple
 
 Partition = tuple[int, ...]
@@ -150,6 +151,34 @@ def classify_strip(shape: SkewShape) -> StripFlags:
     vertical = all(
         outer[r] - inner_at(r) <= 1 for r in range(len(outer)))
     return StripFlags(horizontal, vertical, horizontal and vertical)
+
+
+def rook_strip_inners(mu: Partition) -> tuple[tuple[Partition, int], ...]:
+    """Every sigma with mu/sigma a rook strip, with its cell count, in
+    graded lex order of sigma.
+
+    mu/sigma is a rook strip exactly when it is a set of corners of mu,
+    the cells (r, mu_r) with mu_r > mu_{r+1}.  A corner set is a rook
+    strip: corners lie in distinct rows and columns, and removing any of
+    them leaves a partition.  Conversely, a rook strip holds row r's cell
+    only at the row's end, and if mu_{r+1} = mu_r, row r + 1 would lose
+    the cell below it, in the same column.  So the sigma are mu less each
+    of the 2^{#corners} corner subsets.
+    """
+    corners = [r for r, x in enumerate(mu)
+               if r + 1 == len(mu) or mu[r + 1] < x]
+    out = []
+    for k in range(len(corners) + 1):
+        for chosen in combinations(corners, k):
+            sigma = list(mu)
+            for r in chosen:
+                sigma[r] -= 1
+            # only the last row may empty
+            if sigma and not sigma[-1]:
+                sigma.pop()
+            out.append((tuple(sigma), k))
+    out.sort(key=lambda pair: graded_lex_key(pair[0]))
+    return tuple(out)
 
 
 def star_join(nu: Partition, mu: Partition) -> SkewShape:

@@ -193,6 +193,16 @@ class SymFunc:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _clean(self.coeffs, self.trunc))
 
+    @classmethod
+    def _from_clean(cls, coeffs: dict, trunc: TruncationProfile) -> "SymFunc":
+        """A SymFunc over ``coeffs`` as given, with no second ``_clean``:
+        the caller guarantees tuple keys within the cap and no zero
+        coefficient, which is what ``_clean`` would leave."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "coeffs", coeffs)
+        object.__setattr__(f, "trunc", trunc)
+        return f
+
     @functools.cached_property
     def coproduct(self) -> Coproduct:
         """The m-basis coproduct as a split table, filled as it is read

@@ -39,8 +39,8 @@ finished, idempotent values.
 
 ``flagged_schur`` gives the Schur coefficients of a straight svt (G) or
 rpp (g) generating function with no table: one transfer walk over the
-row-flagged fillings of Lenart and of Lam-Pylyavskyy, each step one
-``_walk`` between two bounds.
+row-flagged fillings of Lenart and of Lam-Pylyavskyy, whose steps list
+their strips directly, as row subsets (G) or products of row ranges (g).
 
 Lattice fillings (svt whose reverse reading word is a lattice word) come
 from one backtracker over the cells in reading order that checks the
@@ -60,6 +60,7 @@ from __future__ import annotations
 import functools
 import sys
 from dataclasses import dataclass
+from itertools import combinations, product
 from math import comb
 from types import MappingProxyType
 from typing import Iterator, Mapping
@@ -349,40 +350,36 @@ def flagged_schur(kind: str, key: Partition, cap: int) -> dict[Partition, int]:
     g_key (kind rpp), up to degree ``cap``, with no chain table.
 
     Both rules count fillings whose entries in row r lie in 1..r - 1, so
-    the cells holding v lie in rows v + 1 and below:
+    the cells holding v lie in rows v + 1 and below.  The walk runs one
+    value at a time and generates each step's strips directly:
 
     * svt (Lenart, Ann. Comb. 4 (2000), Thm 2.2):
       G_key = sum over nu ⊇ key of (-1)^|nu/key| a_nu s_nu, where a_nu
       counts the fillings of nu/key strictly increasing along rows and
-      columns.  The cells holding v form a rook strip, so the walk adds
-      one per value v = 1, 2, ...: each row from v + 1 on may gain one
-      cell, up to the old end of the row above.  A state is final once
-      its length is below v (it has no such row) or it holds ``cap``
-      cells.
+      columns.  The walk adds the cells holding v = 1, 2, ... to nu: a
+      rook strip, at most one cell per row and per column, each at the
+      end of its row.  Row r may gain its cell (r, nu_r + 1) exactly when
+      nu_r < nu_{r-1}: if row r - 1 gains none, the result must stay a
+      partition, and if it gains one, the two cells would share a column
+      when nu_r = nu_{r-1}.  Any set of such rows is a strip, since their
+      new cells lie in distinct columns nu_r + 1.  So the strips at v are
+      the subsets of the rows r >= v + 1 that end short of the row above,
+      the first empty row among them, of size k <= the room left below
+      ``cap``, each with sign (-1)^k.  A state is final once its length
+      is below v (it has no such row) or it holds ``cap`` cells.
     * rpp (Lam-Pylyavskyy, IMRN 2007): g_key = sum over nu ⊆ key of
       f_nu s_nu, where f_nu counts the semistandard fillings of key/nu.
-      The cells holding v form a horizontal strip, so the walk removes
-      one per value v = l(key) - 1, ..., 1: each row from v + 1 on may
-      lose cells, down to the old end of the row below.
-
-    Each step is the transfer matrix over every partition between two
-    bounds, which ``_walk`` lists.
+      The walk removes the cells holding v = l(key) - 1, ..., 1 from tau:
+      a horizontal strip tau/sigma, that is tau_{r+1} <= sigma_r <= tau_r
+      in every row.  Any choice of those lengths row by row is a
+      partition, as sigma_r >= tau_{r+1} >= sigma_{r+1}.  So the strips
+      at v are the product of the ranges [tau_{r+1}, tau_r] over the rows
+      r >= v + 1, the rows above v + 1 kept whole.
     """
     if kind not in (SVT, RPP):
         raise ValueError(f"flagged Schur expansions are of svt or rpp, "
                          f"not {kind!r}")
     key = partition(key)
-    base = (key[0] if key else 0) + 1  # no state has a longer first row
-
-    def between(lower: Word, upper: Word) -> Iterator[tuple[Partition, int]]:
-        # every sigma between the bounds, with the columns sigma/lower meets
-        for code, _, w, _ in _walk(lower, upper, False, base):
-            parts = []
-            while code:
-                code, x = divmod(code, base)
-                parts.append(x)
-            yield tuple(parts), w
-
     live = {key: 1}
     if kind == SVT:
         out: dict[Partition, int] = {}
@@ -395,22 +392,33 @@ def flagged_schur(kind: str, key: Partition, cap: int) -> dict[Partition, int]:
                     out[nu] = out.get(nu, 0) + c
                     continue
                 low = nu + (0,)
-                high = low[:v] + tuple(min(x + 1, low[r - 1])
-                                       for r, x in enumerate(low[v:], v))
-                # a rook strip meets as many columns as it has cells
-                for sigma, cells in between(low, high):
-                    if cells <= room:
-                        nxt[sigma] = nxt.get(sigma, 0) + (
-                            -c if cells % 2 else c)
+                # 0-indexed rows v and below, each ending short of the row
+                # above; the last is the first empty row
+                rows = [r for r in range(v, len(low)) if low[r] < low[r - 1]]
+                for k in range(min(room, len(rows)) + 1):
+                    signed = -c if k % 2 else c
+                    for chosen in combinations(rows, k):
+                        grown = list(low)
+                        for r in chosen:
+                            grown[r] += 1
+                        if not grown[-1]:
+                            grown.pop()
+                        sigma = tuple(grown)
+                        nxt[sigma] = nxt.get(sigma, 0) + signed
             live = nxt
             v += 1
     else:
         for v in range(len(key) - 1, 0, -1):
             nxt = {}
             for tau, c in live.items():
-                low = tuple(x if r < v else y for r, (x, y)
-                            in enumerate(zip(tau, tau[1:] + (0,))))
-                for sigma, _ in between(low, tau):
+                head = tau[:v]
+                spans = [range(y, x + 1)
+                         for x, y in zip(tau[v:], tau[v + 1:] + (0,))]
+                for tail in product(*spans):
+                    sigma = head + tail
+                    # only the last row may empty
+                    if sigma and not sigma[-1]:
+                        sigma = sigma[:-1]
                     nxt[sigma] = nxt.get(sigma, 0) + c
             live = nxt
         out = live

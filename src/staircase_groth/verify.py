@@ -40,6 +40,7 @@ from .shapes import (
     format_skew,
     graded_lex_key,
     partitions_of,
+    rook_strip_inners,
     staircase,
     star_join,
     subpartitions,
@@ -431,6 +432,8 @@ def verify_hopf(n: int = 3, max_degree: int | None = None,
         # the skew side needs the series beyond the comparison degree:
         # pairing against g_mu consumes up to |mu| degrees of the operand
         ext = TruncationProfile.for_degree(max_degree + sum(rho))
+        # double-sum's running sums S(mu) of G(rho//sigma) over sigma in mu
+        sums: dict[Partition, dict[Partition, int]] = {}
         for mu in subpartitions(rho):
             inputs = {"n": n, "mu": format_partition(mu),
                       "max_degree": max_degree}
@@ -443,11 +446,20 @@ def verify_hopf(n: int = 3, max_degree: int | None = None,
                 cases.append(_case(inputs, "skew by g_mu of G_rho == rook-strip "
                                    "sum G(rho//mu)", _sym_witness(lhs, rhs)))
             if "double-sum" in include:
-                total: dict[Partition, int] = {}
-                for sigma in subpartitions(mu):
-                    double = gr.big_G_double(rho, sigma, trunc)
-                    for k, c in double.coeffs.items():
-                        total[k] = total.get(k, 0) + c
+                # Young's lattice is distributive: the sigma below mu, less
+                # mu, are those below mu - A for some nonempty set A of
+                # corners of mu, and the sigma below mu - A and below mu - B
+                # are those below mu - (A u B).  So by inclusion-exclusion
+                # S(mu) = G(rho//mu) + sum over A of (-1)^(|A|+1) S(mu - A),
+                # each S(mu - A) summed earlier, as mu - A comes first in
+                # graded lex order.
+                total = dict(gr.big_G_double(rho, mu, trunc).coeffs)
+                for sigma, cells in rook_strip_inners(mu):
+                    if cells:
+                        sign = 1 if cells % 2 else -1
+                        for k, c in sums[sigma].items():
+                            total[k] = total.get(k, 0) + sign * c
+                sums[mu] = total
                 lhs = SymFunc(total, trunc)
                 rhs = gr.big_G(SkewShape(rho, mu), trunc)
                 cases.append(_case(inputs, "sum of G(rho//sigma) over sigma in "

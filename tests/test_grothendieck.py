@@ -526,6 +526,30 @@ def test_flagged_schur_hand_examples():
     assert tb.flagged_schur(tb.SVT, (2, 2), 3) == {}
     with pytest.raises(ValueError):
         tb.flagged_schur(tb.SSYT, (1,), 3)
+    # g keys cut below their size: g_22 = s_22 + s_21 + s_2, and
+    # g_111 = s_111 + 2 s_11 + s_1 (row 3 holds 1 or 2 over row 2's 1)
+    assert tb.flagged_schur(tb.RPP, (2, 1), 2) == {(2,): 1}
+    assert tb.flagged_schur(tb.RPP, (2, 1), 1) == {}
+    assert tb.flagged_schur(tb.RPP, (2, 2), 3) == {(2, 1): 1, (2,): 1}
+    assert tb.flagged_schur(tb.RPP, (1, 1, 1), 2) == {(1, 1): 2, (1,): 1}
+    assert tb.flagged_schur(tb.RPP, (1, 1, 1), 0) == {}
+
+
+# Every key of at most 8 cells.
+KEYS_8 = [lam for d in range(9) for lam in partitions_of(d)]
+
+
+@pytest.mark.parametrize("kind", (tb.SVT, tb.RPP))
+def test_flagged_schur_at_a_cap_is_the_cut_of_a_larger_cap(kind):
+    # caps below and above |key|: the G walk stops each state at the cap,
+    # the g walk filters its states at the end
+    top = 13
+    for lam in KEYS_8:
+        full = tb.flagged_schur(kind, lam, top)
+        assert all(sum(nu) <= top for nu in full)
+        for cap in range(top):
+            assert tb.flagged_schur(kind, lam, cap) == {
+                nu: c for nu, c in full.items() if sum(nu) <= cap}, (lam, cap)
 
 
 # Straight shapes of at most 7 cells, largest first: hypothesis favours
@@ -758,8 +782,8 @@ def slow_rook_strip_sum(outer, mu, p):
 
 
 def test_big_G_double_is_cached_once_per_input(monkeypatch):
-    # double-sum reads G(rho//sigma) for every sigma inside every mu, and
-    # double-conj reads mu and mu' again: each distinct input misses once
+    # double-sum reads G(rho//mu) once per mu, and double-conj reads mu and
+    # mu' again: each distinct input misses once
     cached = gr._big_G_double_cached
     cached.cache_clear()
     seen = []
@@ -843,6 +867,25 @@ def test_skew_by_matches_hall_adjunction(shape, kind, extra, basis, c, data):
 
 _KEYS_6 = list(all_partitions_up_to(6))
 P6 = TruncationProfile(6)
+
+
+# skew_by skips the second clean of the contraction's sums: its result must
+# be what cleaning would give, key for key and in the same order.
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.sampled_from(sf.BASES),
+       st.dictionaries(st.sampled_from(_KEYS_6), st.sampled_from(_COEFFS),
+                       min_size=1, max_size=3),
+       st.one_of(
+           st.dictionaries(st.sampled_from(_KEYS_6), st.sampled_from(_COEFFS),
+                           min_size=1, max_size=6).map(lambda d: SymFunc(d, P6)),
+           st.tuples(st.sampled_from(SHAPES_5), st.sampled_from(sorted(
+               _OPERANDS))).map(lambda t: _OPERANDS[t[1]](t[0], P6))))
+def test_skew_by_result_is_already_clean(basis, f_terms, a):
+    out = skew_by(BasisExpansion(basis, f_terms, P6), a)
+    clean = SymFunc(dict(out.coeffs), out.trunc)
+    assert list(out.coeffs.items()) == list(clean.coeffs.items())
+    assert all(type(k) is tuple for k in out.coeffs)
+    assert out.trunc == a.trunc
 
 
 # Randomized oracle for skew_by's indexed pairing: the sums taken straight

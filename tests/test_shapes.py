@@ -15,6 +15,7 @@ from staircase_groth.shapes import (
     parse_skew,
     partition,
     partitions_of,
+    rook_strip_inners,
     staircase,
     star_join,
     subpartitions,
@@ -162,6 +163,17 @@ def test_strip_conjugate_duality():
             sh = SkewShape(lam, nu)
             shc = SkewShape(conjugate(lam), conjugate(nu))
             assert classify_strip(sh).horizontal == classify_strip(shc).vertical
+
+
+def test_rook_strip_inners_are_the_corner_subsets():
+    # the rook filter over every sigma inside mu is the oracle
+    for mu in all_partitions_up_to(10):
+        want = [(sigma, sum(mu) - sum(sigma)) for sigma in subpartitions(mu)
+                if classify_strip(SkewShape(mu, sigma)).rook]
+        assert list(rook_strip_inners(mu)) == want, mu
+    assert rook_strip_inners(EMPTY) == ((EMPTY, 0),)
+    assert rook_strip_inners((2, 2, 1)) == (
+        ((2, 1), 2), ((2, 2), 1), ((2, 1, 1), 1), ((2, 2, 1), 0))
 
 
 def test_text_encoding():
