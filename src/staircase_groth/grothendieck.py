@@ -89,14 +89,19 @@ def schur(shape: SkewShape, trunc: TruncationProfile) -> SymFunc:
         raise ValueError(
             f"degree overflow: |{shape}| = {shape.size()} exceeds "
             f"max_degree {trunc.max_degree}")
-    return SymFunc(dict(_kostka_row(shape.outer, shape.inner)), trunc)
+    # already clean: partition keys of size |shape| <= the cap, each a
+    # positive count
+    return SymFunc._from_clean(dict(_kostka_row(shape.outer, shape.inner)),
+                               trunc)
 
 
 @functools.cache
 def _dual_g_cached(outer: Partition, inner: Partition,
                    trunc: TruncationProfile) -> SymFunc:
-    return SymFunc(tableaux.content_counts(SkewShape(outer, inner),
-                                           tableaux.RPP), trunc)
+    # already clean: partition keys of size at most |outer/inner|, which
+    # dual_g checks against the cap, each a positive count
+    return SymFunc._from_clean(tableaux.content_counts(
+        SkewShape(outer, inner), tableaux.RPP), trunc)
 
 
 def dual_g(shape: SkewShape, trunc: TruncationProfile) -> SymFunc:
@@ -111,7 +116,9 @@ def dual_g(shape: SkewShape, trunc: TruncationProfile) -> SymFunc:
 @functools.cache
 def _big_G_cached(outer: Partition, inner: Partition,
                   trunc: TruncationProfile) -> SymFunc:
-    return SymFunc(tableaux.signed_svt_counts(
+    # already clean: partition keys cut to the cap, and no zero, as every
+    # filling of one content has the same sign
+    return SymFunc._from_clean(tableaux.signed_svt_counts(
         SkewShape(outer, inner), max_total_size=trunc.max_degree), trunc)
 
 

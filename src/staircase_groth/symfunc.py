@@ -363,7 +363,8 @@ def basis_element(tag: str, lam: Partition, trunc: TruncationProfile) -> SymFunc
 def _kostka_row(outer: Partition, inner: Partition
                 ) -> tuple[tuple[Partition, int], ...]:
     """Nonzero skew Kostka numbers K_{outer/inner, mu}, the ssyt of shape
-    outer/inner with content mu, in graded lex order of mu.
+    outer/inner with content mu, in descending lex order of mu (all of
+    one size, so this is graded lex order too).
 
     This is the one cache of Schur tables; straight shapes pass EMPTY.
     The row is homogeneous of degree |outer/inner|, so it is the same
@@ -379,7 +380,9 @@ def schur_to_m(lam: Partition, trunc: TruncationProfile) -> SymFunc:
     if sum(lam) > trunc.max_degree:
         raise ValueError(
             f"degree overflow: |{lam}| exceeds max_degree {trunc.max_degree}")
-    return SymFunc(dict(_kostka_row(lam, EMPTY)), trunc)
+    # already clean: partition keys of size |lam| <= the cap, each a
+    # positive count
+    return SymFunc._from_clean(dict(_kostka_row(lam, EMPTY)), trunc)
 
 
 @dataclass(frozen=True)

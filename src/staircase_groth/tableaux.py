@@ -62,6 +62,7 @@ import sys
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
+from operator import mul
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
@@ -449,15 +450,18 @@ class _ChainTables:
     def __init__(self, outer: Partition):
         self.outer = outer
         self.base = outer[0] + 1 if outer else 1
+        # base**r for each row r
+        self.powers = [self.base ** r for r in range(len(outer))]
         self.top = self.code(outer)
         self.back: dict[str, tuple[Partition, int,
                                    dict[int, dict[Partition, int]]]] = {}
 
     def code(self, p: Partition) -> int:
-        return sum(x * self.base ** r for r, x in enumerate(p))
+        return sum(map(mul, p, self.powers))
 
     def _parts(self, i: int) -> Word:
-        return tuple(i // self.base ** r % self.base for r in range(len(self.outer)))
+        base = self.base
+        return tuple(i // q % base for q in self.powers)
 
     def _step(self, kind: str, live: dict[int, int], v: int,
               rows: dict[int, dict[int, list]], room: int) -> dict[int, int]:
@@ -573,12 +577,17 @@ def _chain(outer: Partition) -> _ChainTables:
 
 
 def _graded(shape: SkewShape, kind: str, budget: int) -> dict[Partition, int]:
-    """The shape's table entry cut to |T| at most ``budget``, graded lex."""
-    counts = _chain(shape.outer).counts(kind, shape.inner, budget)
-    # descending lex, then stably by size
-    keys = sorted((t for t in counts if sum(t) <= budget), reverse=True)
-    keys.sort(key=sum)
-    return {t: counts[t] for t in keys}
+    """The shape's table entry cut to |T| at most ``budget``, as a new dict
+    in the backward walk's order: within each size, descending lex, as the
+    walk is a depth-first preorder trying the largest part first.  A
+    stable sort by size gives graded lex order."""
+    tables = _chain(shape.outer)
+    counts = tables.counts(kind, shape.inner, budget)
+    # the entry holds contents up to |outer/inner| plus the table's extra
+    # degree (0 for ssyt and rpp), so a budget reaching that cuts nothing
+    if not counts or budget - shape.size() >= tables.back[kind][1]:
+        return dict(counts)
+    return {t: c for t, c in counts.items() if sum(t) <= budget}
 
 
 def count_fillings(shape: SkewShape, kind: str, content: Partition,
@@ -606,6 +615,8 @@ def content_counts(shape: SkewShape, kind: str, *,
     ``max_total_size`` bounds |T|: the cell count for ssyt and rpp, the
     content size for svt, where it is required (the svt table grows with
     it).  The svt counts are the absolute values of ``signed_svt_counts``.
+    Contents come in the chain table's walk order: descending lex within
+    each size, the sizes interleaved (see ``_graded``).
     """
     _check_kind(kind)
     if kind == SVT and max_total_size is None:
@@ -620,8 +631,9 @@ def signed_svt_counts(shape: SkewShape, *,
     """Signed svt content coefficients: sum of (-1)^(|T| - |shape|) over
     fillings with the given exact content, keyed by content partition.
 
-    Read straight from the svt chain table; must agree with (and is
-    tested against) signing each filling of the naive stream by its size.
+    Read straight from the svt chain table, in its walk order (see
+    ``_graded``); must agree with (and is tested against) signing each
+    filling of the naive stream by its size.
     """
     return _graded(shape, SVT, max_total_size)
 

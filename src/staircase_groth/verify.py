@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
@@ -432,8 +433,13 @@ def verify_hopf(n: int = 3, max_degree: int | None = None,
         # the skew side needs the series beyond the comparison degree:
         # pairing against g_mu consumes up to |mu| degrees of the operand
         ext = TruncationProfile.for_degree(max_degree + sum(rho))
-        # double-sum's running sums S(mu) of G(rho//sigma) over sigma in mu
+        # double-sum's running sums S(mu) of G(rho//sigma) over sigma in mu,
+        # each dropped after its last read: readers[sigma] counts the mu
+        # that read S(sigma), one per nonempty corner set A of mu with
+        # sigma = mu - A
         sums: dict[Partition, dict[Partition, int]] = {}
+        readers = Counter(sigma for mu in subpartitions(rho)
+                          for sigma, cells in rook_strip_inners(mu) if cells)
         for mu in subpartitions(rho):
             inputs = {"n": n, "mu": format_partition(mu),
                       "max_degree": max_degree}
@@ -459,7 +465,11 @@ def verify_hopf(n: int = 3, max_degree: int | None = None,
                         sign = 1 if cells % 2 else -1
                         for k, c in sums[sigma].items():
                             total[k] = total.get(k, 0) + sign * c
-                sums[mu] = total
+                        readers[sigma] -= 1
+                        if not readers[sigma]:
+                            del sums[sigma]
+                if readers[mu]:
+                    sums[mu] = total
                 lhs = SymFunc(total, trunc)
                 rhs = gr.big_G(SkewShape(rho, mu), trunc)
                 cases.append(_case(inputs, "sum of G(rho//sigma) over sigma in "

@@ -104,6 +104,53 @@ def test_big_G_examples():
         {(1, 1): 1}
 
 
+# The constructors skip SymFunc's clean: each must equal the clean of the
+# graded cut, with no zero and no key above the budget, and must own its
+# map.  Two requests on one outer shape of at most 8 cells, at budgets
+# from below the cell count to 3 above it, run in both orders, so the
+# second may rebuild the table the first built.
+_READ_OUTERS = [lam for d in range(1, 9) for lam in partitions_of(d)]
+_KIND_CONSTRUCTORS = ((tb.SSYT, schur), (tb.RPP, dual_g), (tb.SVT, big_G))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.sampled_from(_READ_OUTERS), st.data())
+def test_constructors_read_a_clean_copy_of_the_graded_cut(outer, data):
+    inners = st.sampled_from(subpartitions(outer))
+    offsets = st.integers(min_value=-1, max_value=3)
+    requests = [(SkewShape(outer, data.draw(inners)), data.draw(offsets))
+                for _ in range(2)]
+    for order in (requests, requests[::-1]):
+        tb._chain_cache.clear()
+        for shape, offset in order:
+            budget = max(shape.size() + offset, 0)
+            trunc = TruncationProfile(budget)
+            for kind, build in _KIND_CONSTRUCTORS:
+                if kind != tb.SVT and budget < shape.size():
+                    with pytest.raises(ValueError):
+                        build(shape, trunc)
+                    continue
+                _clear_constructor_caches()
+                f = build(shape, trunc)
+                cut = tb._graded(shape, kind, budget)
+                assert f == SymFunc(cut, trunc), (kind, shape, budget)
+                assert all(f.coeffs.values())
+                assert all(sum(k) <= budget for k in f.coeffs)
+                # writing to the returned maps leaves the table as it was
+                want = dict(cut)
+                f.coeffs.clear()
+                cut.clear()
+                _clear_constructor_caches()
+                assert tb._graded(shape, kind, budget) == want
+                assert build(shape, trunc).coeffs == want
+
+
+def _clear_constructor_caches():
+    sf._kostka_row.cache_clear()
+    gr._dual_g_cached.cache_clear()
+    gr._big_G_cached.cache_clear()
+
+
 def test_degree_grading():
     for lam in all_partitions_up_to(4):
         for mu in subpartitions(lam):
