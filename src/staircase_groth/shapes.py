@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from itertools import combinations
+from operator import index
 from typing import Iterable, Iterator, NamedTuple
 
 Partition = tuple[int, ...]
@@ -24,10 +25,12 @@ EMPTY: Partition = ()
 def partition(parts: Iterable[int]) -> Partition:
     """Canonicalize an iterable of parts: strip trailing zeros, validate.
 
+    Each part must be an integer, read with ``operator.index``: a float
+    or a string raises TypeError rather than being truncated or parsed.
     Raises ValueError when parts are negative, internally zero, or not
     weakly decreasing.
     """
-    p = tuple(int(x) for x in parts)
+    p = tuple(map(index, parts))
     while p and p[-1] == 0:
         p = p[:-1]
     for i, x in enumerate(p):

@@ -15,6 +15,7 @@ in scope is unimodular, so no rationals ever appear.
 from __future__ import annotations
 
 import functools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -36,11 +37,16 @@ BASES = ("m", "s", "e", "h", "g", "G")
 
 @dataclass(frozen=True)
 class TruncationProfile:
-    """Degree cap D: every operation discards the degrees above it."""
+    """Degree cap D: every operation discards the degrees above it.
+
+    D must be an integer, read with ``operator.index``: a float such as
+    2.5 raises TypeError rather than standing for a fractional cap.
+    """
 
     max_degree: int
 
     def __post_init__(self):
+        object.__setattr__(self, "max_degree", operator.index(self.max_degree))
         if self.max_degree < 0:
             raise ValueError("max_degree must be nonnegative")
 

@@ -6,7 +6,6 @@ import time
 import pytest
 
 from staircase_groth import grothendieck as gr
-from staircase_groth import tableaux as tb
 from staircase_groth import verify as vf
 from staircase_groth.shapes import (
     EMPTY,
@@ -16,6 +15,8 @@ from staircase_groth.shapes import (
     subpartitions,
 )
 from staircase_groth.symfunc import TruncationProfile
+
+import fillings
 
 
 def _verdict(name, ok, started, detail=""):
@@ -61,14 +62,14 @@ def test_criterion_03_worked_examples():
         {(2, 1): 1, (1, 1, 1): 3}
     ok = ok and gr.dual_g(SkewShape((2, 2), (1,)), p3).coeffs == \
         {(2,): 1, (1, 1): 1, (2, 1): 1, (1, 1, 1): 2}
-    display = tb.SetFilling(SkewShape((5, 4, 3), (2, 1)), {
+    display = fillings.SetFilling(SkewShape((5, 4, 3), (2, 1)), {
         (1, 3): (1, 2), (1, 4): (2, 3, 4), (1, 5): (7,),
         (2, 2): (3,), (2, 3): (3, 5), (2, 4): (5,),
         (3, 1): (2,), (3, 2): (4, 5, 6), (3, 3): (6,)})
-    ok = ok and tb.reverse_reading_word(display) == \
+    ok = ok and fillings.reverse_reading_word(display) == \
         (7, 4, 3, 2, 5, 2, 1, 5, 3, 6, 3, 6, 5, 4, 2)
-    ok = ok and tb.is_lattice((1, 1, 2, 1, 3, 2, 2))
-    ok = ok and not tb.is_lattice((1, 2, 1, 2, 2, 1))
+    ok = ok and fillings.is_lattice((1, 1, 2, 1, 3, 2, 2))
+    ok = ok and not fillings.is_lattice((1, 2, 1, 2, 2, 1))
     joined = star_join((2, 1), (4,))
     ok = ok and (joined.outer, joined.inner) == ((6, 5, 4), (4, 4))
     _verdict("3 worked examples reproduced exactly", ok, t0)

@@ -346,6 +346,21 @@ def test_lr_coeff_reports_invalid_inputs_in_order():
     assert lr_coeff((1,), (1,), [2, 1, 0]) == lr_coeff((1,), (1,), (2, 1))
 
 
+def test_non_integer_parts_raise_at_the_public_boundary():
+    # a float part used to be truncated: (2.9, 1.5) read as (2, 1)
+    p = TruncationProfile(3)
+    with pytest.raises(TypeError):
+        dual_g(SkewShape((2.9, 1.5), ()), p)
+    with pytest.raises(TypeError):
+        big_G_double((2, 1), (1.0,), p)
+    with pytest.raises(TypeError):
+        lr_coeff((1,), (1,), (1.5, 0.5))
+    with pytest.raises(TypeError):
+        alpha(SkewShape((2, 1), (1,)), (1.0, 1))
+    with pytest.raises(TypeError):
+        tb.count_lattice_fillings(SkewShape((2, 1), (1,)), "11")
+
+
 def test_alpha_examples():
     shape = SkewShape((2, 1), (1,))
     assert alpha(shape, (2,)).value == 1

@@ -40,6 +40,16 @@ def test_partition_canonicalization():
         partition([2, -1])
     with pytest.raises(ValueError):
         partition([2, 0, 1])
+    # a part is read with operator.index: nothing is truncated or parsed
+    for parts in [(2.9, 1.5), (2.0, 1), "21", ("2", "1")]:
+        with pytest.raises(TypeError):
+            partition(parts)
+
+    class Three:
+        def __index__(self):
+            return 3
+
+    assert partition([Three(), 1]) == (3, 1)
 
 
 def test_conjugate_examples():
@@ -145,6 +155,10 @@ def test_skew_shape_validation():
     assert sh.size() == 3
     assert sh.cells() == ((1, 2), (2, 1), (2, 2))
     assert SkewShape((2, 1), (2, 1)).size() == 0
+    with pytest.raises(TypeError):
+        SkewShape((2.9, 1.5), ())
+    with pytest.raises(TypeError):
+        SkewShape((2, 1), (1.0,))
 
 
 def test_classify_strip():

@@ -78,6 +78,11 @@ def test_profile_validation():
     for d in range(4):
         assert TruncationProfile(d).num_vars == max(d, 1)
     assert TruncationProfile.for_degree(0) == TruncationProfile(0)
+    # the cap is an integer, never a truncated float or a parsed string
+    for d in [2.5, 3.0, "3"]:
+        with pytest.raises(TypeError):
+            TruncationProfile(d)
+    assert type(TruncationProfile(True).max_degree) is int
 
 
 def test_add():

@@ -19,7 +19,10 @@ from staircase_groth.shapes import (
     subpartitions,
 )
 from staircase_groth.symfunc import TruncationProfile
-from staircase_groth.tableaux import RPP, SSYT, SVT, SetFilling
+from staircase_groth.tableaux import RPP, SSYT, SVT
+
+import fillings
+from fillings import SetFilling
 
 
 def test_is_ssyt_display():
@@ -30,16 +33,16 @@ def test_is_ssyt_display():
         (4, 1): (3,), (4, 2): (4,),
         (5, 1): (6,),
     })
-    assert tb.is_ssyt(t)
-    assert tb.content_of(t, SSYT) == (3, 3, 1, 3, 0, 1)
+    assert fillings.is_ssyt(t)
+    assert fillings.content_of(t, SSYT) == (3, 3, 1, 3, 0, 1)
 
 
 def test_is_ssyt_trivial():
     one = SetFilling(SkewShape((1,), EMPTY), {(1, 1): (1,)})
-    assert tb.is_ssyt(one)
+    assert fillings.is_ssyt(one)
     col = SetFilling(SkewShape((1, 1), EMPTY), {(1, 1): (1,), (2, 1): (1,)})
-    assert not tb.is_ssyt(col)
-    assert tb.is_rpp(col)
+    assert not fillings.is_ssyt(col)
+    assert fillings.is_rpp(col)
 
 
 def test_is_rpp_display():
@@ -48,13 +51,13 @@ def test_is_rpp_display():
         (2, 2): (1,), (2, 3): (2,), (2, 4): (5,),
         (3, 1): (1,), (3, 2): (2,), (3, 3): (2,),
     })
-    assert tb.is_rpp(t)
-    assert tb.content_of(t, RPP) == (2, 3, 0, 1, 1)
+    assert fillings.is_rpp(t)
+    assert fillings.content_of(t, RPP) == (2, 3, 0, 1, 1)
 
 
 def test_is_rpp_row_decrease_fails():
     t = SetFilling(SkewShape((2,), EMPTY), {(1, 1): (2,), (1, 2): (1,)})
-    assert not tb.is_rpp(t)
+    assert not fillings.is_rpp(t)
 
 
 def svt_display():
@@ -67,25 +70,25 @@ def svt_display():
 
 def test_is_svt_display():
     t = svt_display()
-    assert tb.is_svt(t)
+    assert fillings.is_svt(t)
     assert t.total_size() == 15
-    assert sum(tb.content_of(t, SVT)) == 15
+    assert sum(fillings.content_of(t, SVT)) == 15
 
 
 def test_is_svt_small_cases():
     row = SetFilling(SkewShape((2,), EMPTY), {(1, 1): (1,), (1, 2): (1,)})
-    assert tb.is_svt(row)
+    assert fillings.is_svt(row)
     col = SetFilling(SkewShape((1, 1), EMPTY), {(1, 1): (1,), (2, 1): (1,)})
-    assert not tb.is_svt(col)
+    assert not fillings.is_svt(col)
     overlap = SetFilling(SkewShape((2,), EMPTY), {(1, 1): (1, 2), (1, 2): (2,)})
-    assert tb.is_svt(overlap)
+    assert fillings.is_svt(overlap)
 
 
 def test_content_kind_mismatch():
     col = SetFilling(SkewShape((1, 1), EMPTY), {(1, 1): (1,), (2, 1): (1,)})
     with pytest.raises(ValueError):
-        tb.content_of(col, SSYT)
-    assert tb.content_of(col, RPP) == (1,)
+        fillings.content_of(col, SSYT)
+    assert fillings.content_of(col, RPP) == (1,)
 
 
 def test_set_filling_validation():
@@ -100,23 +103,23 @@ def test_set_filling_validation():
 
 
 def test_reverse_reading_word_display():
-    assert tb.reverse_reading_word(svt_display()) == \
+    assert fillings.reverse_reading_word(svt_display()) == \
         (7, 4, 3, 2, 5, 2, 1, 5, 3, 6, 3, 6, 5, 4, 2)
 
 
 def test_reverse_reading_word_small():
     cell = SetFilling(SkewShape((1,), EMPTY), {(1, 1): (1, 3)})
-    assert tb.reverse_reading_word(cell) == (3, 1)
+    assert fillings.reverse_reading_word(cell) == (3, 1)
     col = SetFilling(SkewShape((1, 1), EMPTY), {(1, 1): (1,), (2, 1): (2,)})
-    assert tb.reverse_reading_word(col) == (1, 2)
+    assert fillings.reverse_reading_word(col) == (1, 2)
     empty = SetFilling(SkewShape((2, 1), (2, 1)), {})
-    assert tb.reverse_reading_word(empty) == ()
+    assert fillings.reverse_reading_word(empty) == ()
 
 
 def test_is_lattice_examples():
-    assert tb.is_lattice((1, 1, 2, 1, 3, 2, 2))
-    assert not tb.is_lattice((1, 2, 1, 2, 2, 1))
-    assert tb.is_lattice(())
+    assert fillings.is_lattice((1, 1, 2, 1, 3, 2, 2))
+    assert not fillings.is_lattice((1, 2, 1, 2, 2, 1))
+    assert fillings.is_lattice(())
 
 
 def instance_order_lattice(word):
@@ -139,28 +142,28 @@ def instance_order_lattice(word):
 def test_lattice_matches_instance_order_exhaustively():
     for length in range(0, 11):
         for word in itertools.product((1, 2, 3), repeat=length):
-            assert tb.is_lattice(word) == instance_order_lattice(word), word
+            assert fillings.is_lattice(word) == instance_order_lattice(word), word
 
 
 def test_enumerate_counts():
-    assert len(list(tb.enumerate_fillings(SkewShape((2, 1), EMPTY), SSYT, 2))) == 2
-    assert len(list(tb.enumerate_fillings(SkewShape((2, 2), (1,)), RPP, 2))) == 5
-    svt = list(tb.enumerate_fillings(SkewShape((1,), EMPTY), SVT, 2))
+    assert len(list(fillings.enumerate_fillings(SkewShape((2, 1), EMPTY), SSYT, 2))) == 2
+    assert len(list(fillings.enumerate_fillings(SkewShape((2, 2), (1,)), RPP, 2))) == 5
+    svt = list(fillings.enumerate_fillings(SkewShape((1,), EMPTY), SVT, 2))
     assert [t.entries[(1, 1)] for t in svt] == [(1,), (1, 2), (2,)]
 
 
 def test_enumerate_rejects_zero_alphabet():
     with pytest.raises(ValueError):
-        list(tb.enumerate_fillings(SkewShape((1,), EMPTY), SSYT, 0))
+        list(fillings.enumerate_fillings(SkewShape((1,), EMPTY), SSYT, 0))
     with pytest.raises(ValueError):
-        list(tb.enumerate_fillings(SkewShape((1,), EMPTY), "tableau", 2))
+        list(fillings.enumerate_fillings(SkewShape((1,), EMPTY), "tableau", 2))
 
 
 def test_enumerate_is_deterministic_and_duplicate_free():
     shape = SkewShape((2, 2), (1,))
     for kind, cap in ((SSYT, None), (RPP, None), (SVT, 5)):
-        a = list(tb.enumerate_fillings(shape, kind, 3, max_total_size=cap))
-        b = list(tb.enumerate_fillings(shape, kind, 3, max_total_size=cap))
+        a = list(fillings.enumerate_fillings(shape, kind, 3, max_total_size=cap))
+        b = list(fillings.enumerate_fillings(shape, kind, 3, max_total_size=cap))
         assert [t.entries for t in a] == [t.entries for t in b]
         seen = {tuple(sorted(t.entries.items())) for t in a}
         assert len(seen) == len(a)
@@ -174,7 +177,7 @@ def brute_fillings(shape, kind, max_entry, max_total_size=None):
     else:
         candidates = [c for size in range(1, max_entry + 1)
                       for c in itertools.combinations(range(1, max_entry + 1), size)]
-    check = {SSYT: tb.is_ssyt, RPP: tb.is_rpp, SVT: tb.is_svt}[kind]
+    check = {SSYT: fillings.is_ssyt, RPP: fillings.is_rpp, SVT: fillings.is_svt}[kind]
     out = []
     for combo in itertools.product(candidates, repeat=len(cells)):
         t = SetFilling(shape, dict(zip(cells, combo)))
@@ -194,7 +197,7 @@ def test_enumerate_matches_brute_force(kind, max_entry, cap):
     for shape in (SkewShape((2, 1), EMPTY), SkewShape((2, 2), (1,)),
                   SkewShape((1, 1), EMPTY)):
         fast = {tuple(sorted(t.entries.items()))
-                for t in tb.enumerate_fillings(shape, kind, max_entry,
+                for t in fillings.enumerate_fillings(shape, kind, max_entry,
                                                max_total_size=cap)}
         slow = {tuple(sorted(t.entries.items()))
                 for t in brute_fillings(shape, kind, max_entry, cap)}
@@ -203,8 +206,8 @@ def test_enumerate_matches_brute_force(kind, max_entry, cap):
 
 def partition_content_counter(shape, kind, max_entry, cap=None):
     counter = Counter()
-    for t in tb.enumerate_fillings(shape, kind, max_entry, max_total_size=cap):
-        c = tb.content_of(t, kind)
+    for t in fillings.enumerate_fillings(shape, kind, max_entry, max_total_size=cap):
+        c = fillings.content_of(t, kind)
         if all(c[i] >= c[i + 1] for i in range(len(c) - 1)):
             counter[c] += 1
     return dict(counter)
@@ -230,8 +233,8 @@ def test_svt_content_counts_match_stream():
 
 def signed_content_counter(shape, max_entry, cap):
     signed = Counter()
-    for t in tb.enumerate_fillings(shape, SVT, max_entry, max_total_size=cap):
-        c = tb.content_of(t, SVT)
+    for t in fillings.enumerate_fillings(shape, SVT, max_entry, max_total_size=cap):
+        c = fillings.content_of(t, SVT)
         if all(c[i] >= c[i + 1] for i in range(len(c) - 1)):
             signed[c] += -1 if (t.total_size() - shape.size()) % 2 else 1
     return {k: v for k, v in signed.items() if v}
@@ -513,14 +516,14 @@ def test_ssyt_rpp_svt_inclusions():
         for mu in subpartitions(lam):
             shape = SkewShape(lam, mu)
             m = 3
-            ssyt = list(tb.enumerate_fillings(shape, SSYT, m))
-            rpp = list(tb.enumerate_fillings(shape, RPP, m))
-            svt = list(tb.enumerate_fillings(shape, SVT, m,
+            ssyt = list(fillings.enumerate_fillings(shape, SSYT, m))
+            rpp = list(fillings.enumerate_fillings(shape, RPP, m))
+            svt = list(fillings.enumerate_fillings(shape, SVT, m,
                                              max_total_size=shape.size()))
             assert len(ssyt) <= len(rpp)
             assert len(ssyt) == len(svt)
             for t in ssyt:
-                assert tb.is_rpp(t) and tb.is_svt(t)
+                assert fillings.is_rpp(t) and fillings.is_svt(t)
 
 
 def test_count_lattice_fillings_examples():
@@ -548,13 +551,13 @@ def test_iter_lattice_fillings_consistent_with_count():
             (star_join((1, 1), (1,)), staircase(2)),
             (SkewShape((3, 2, 1), (1,)), (3, 2, 1)),
             (SkewShape((3, 2, 1), (2,)), (2, 2, 1))):
-        fillings = list(tb.iter_lattice_fillings(shape, content))
-        assert len(fillings) == tb.count_lattice_fillings(shape, content)
-        for entries in fillings:
+        maps = list(tb.iter_lattice_fillings(shape, content))
+        assert len(maps) == tb.count_lattice_fillings(shape, content)
+        for entries in maps:
             t = SetFilling(shape, entries)
-            assert tb.is_svt(t)
-            word = tb.reverse_reading_word(t)
-            assert tb.is_lattice(word)
+            assert fillings.is_svt(t)
+            word = fillings.reverse_reading_word(t)
+            assert fillings.is_lattice(word)
             counts = Counter(word)
             assert tuple(counts[i] for i in range(1, max(counts) + 1)) == content
 
@@ -562,10 +565,10 @@ def test_iter_lattice_fillings_consistent_with_count():
 def lattice_stream_counter(shape, total):
     """Oracle for the lattice counts: the filtered svt stream."""
     return Counter(
-        tb.content_of(t, SVT)
-        for t in tb.enumerate_fillings(shape, SVT, max(total, 1),
+        fillings.content_of(t, SVT)
+        for t in fillings.enumerate_fillings(shape, SVT, max(total, 1),
                                        max_total_size=total)
-        if t.total_size() == total and tb.is_lattice(tb.reverse_reading_word(t)))
+        if t.total_size() == total and fillings.is_lattice(fillings.reverse_reading_word(t)))
 
 
 # smallest first, which is where hypothesis draws most often
@@ -594,10 +597,10 @@ def test_iter_lattice_fillings_match_stream(shape, extra):
     # stream, content by content, and each one validates as a SetFilling
     total = shape.size() + extra
     expected = {}
-    for t in tb.enumerate_fillings(shape, SVT, max(total, 1),
+    for t in fillings.enumerate_fillings(shape, SVT, max(total, 1),
                                    max_total_size=total):
-        if t.total_size() == total and tb.is_lattice(tb.reverse_reading_word(t)):
-            expected.setdefault(tb.content_of(t, SVT), set()).add(
+        if t.total_size() == total and fillings.is_lattice(fillings.reverse_reading_word(t)):
+            expected.setdefault(fillings.content_of(t, SVT), set()).add(
                 frozenset(t.entries.items()))
     for c in partitions_of(total):
         got = list(tb.iter_lattice_fillings(shape, c))
@@ -605,7 +608,7 @@ def test_iter_lattice_fillings_match_stream(shape, extra):
         assert {frozenset(m.items()) for m in got} == expected.get(c, set()), c
         for entries in got:
             t = SetFilling(shape, entries)
-            assert tb.is_svt(t)
+            assert fillings.is_svt(t)
             assert t.total_size() == total
 
 
@@ -686,7 +689,7 @@ def test_enumerate_count_matches_principal_specialization():
         trunc = TruncationProfile.for_degree(max(shape.size(), 1))
         poly = gr.schur(shape, trunc)
         for m in range(1, 5):
-            count = sum(1 for _ in tb.enumerate_fillings(shape, SSYT, m))
+            count = sum(1 for _ in fillings.enumerate_fillings(shape, SSYT, m))
             assert count == principal_specialization(poly.coeffs, m), (shape, m)
 
 
@@ -694,4 +697,4 @@ def test_enumerate_count_matches_principal_specialization():
 @given(st.lists(st.integers(min_value=1, max_value=4), max_size=12))
 def test_is_lattice_random_words_match_oracle(letters):
     word = tuple(letters)
-    assert tb.is_lattice(word) == instance_order_lattice(word)
+    assert fillings.is_lattice(word) == instance_order_lattice(word)
