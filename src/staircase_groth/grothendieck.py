@@ -60,6 +60,7 @@ from .symfunc import (
     TruncationProfile,
     _kostka_row,
     _pair_with_m,
+    _require_partition,
     _schur_by_columns,
     basis_element,
     m_to_schur,
@@ -267,11 +268,11 @@ _FLAGGED = {"G": tableaux.SVT, "g": tableaux.RPP}
 def to_schur_expansion(exp: BasisExpansion) -> BasisExpansion:
     """Convert any basis expansion to the Schur basis, in graded lex order.
 
-    An s key is its own expansion, and g and G keys take their flagged
-    Schur expansions (``tableaux.flagged_schur``; Lam-Pylyavskyy and
-    Lenart), so no chain table is built.  m, e and h keys are realized
-    in monomials and read off the inverse Kostka columns
-    (``symfunc._schur_by_columns``).
+    An s key is its own expansion (ValueError if it is not a partition),
+    and g and G keys take their flagged Schur expansions
+    (``tableaux.flagged_schur``; Lam-Pylyavskyy and Lenart), so no chain
+    table is built.  m, e and h keys are realized in monomials and read
+    off the inverse Kostka columns (``symfunc._schur_by_columns``).
     """
     if exp.basis in ("m", "e", "h"):
         return BasisExpansion("s", _schur_by_columns(
@@ -279,8 +280,11 @@ def to_schur_expansion(exp: BasisExpansion) -> BasisExpansion:
     cap = exp.trunc.max_degree
     out: dict[Partition, int] = {}
     for lam, c in exp.coeffs.items():
-        terms = {lam: 1} if exp.basis == "s" else tableaux.flagged_schur(
-            _FLAGGED[exp.basis], lam, cap)
+        if exp.basis == "s":
+            _require_partition(lam)
+            terms = {lam: 1}
+        else:
+            terms = tableaux.flagged_schur(_FLAGGED[exp.basis], lam, cap)
         for nu, k in terms.items():
             out[nu] = out.get(nu, 0) + c * k
     return BasisExpansion("s", {nu: out[nu] for nu in

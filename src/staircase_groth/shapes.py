@@ -89,7 +89,7 @@ def subpartitions(p: Partition) -> tuple[Partition, ...]:
 
 
 def partitions_of(n: int) -> Iterator[Partition]:
-    """Generate all partitions of n, largest first part first."""
+    """Generate all partitions of n, in descending lex order."""
     if n < 0:
         return
 

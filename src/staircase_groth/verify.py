@@ -141,7 +141,7 @@ def _check_n(n: int) -> None:
 
 def _sorted_partitions(max_size: int):
     for s in range(max_size + 1):
-        yield from sorted(partitions_of(s), key=graded_lex_key)
+        yield from partitions_of(s)
 
 
 # ---------------------------------------------------------------------------

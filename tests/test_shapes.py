@@ -31,6 +31,16 @@ def all_partitions_up_to(n):
         yield from partitions_of(d)
 
 
+def test_partitions_of_lists_descending_lex_order():
+    # verify's case order, and so every report digest, is this order
+    counts = (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176)
+    for n, count in enumerate(counts):
+        parts = list(partitions_of(n))
+        assert len(set(parts)) == count
+        assert all(sum(lam) == n and partition(lam) == lam for lam in parts)
+        assert parts == sorted(parts, reverse=True)
+
+
 def test_partition_canonicalization():
     assert partition([3, 2, 1, 0, 0]) == (3, 2, 1)
     assert partition([]) == EMPTY

@@ -28,7 +28,7 @@ from staircase_groth.symfunc import (
     BasisExpansion,
     SymFunc,
     TruncationProfile,
-    _inverse_kostka_columns,
+    _inverse_kostka_column,
     _schur_by_columns,
     basis_element,
     hall_inner,
@@ -432,12 +432,13 @@ def test_schur_by_columns_matches_the_kostka_peel(terms):
 
 
 def _schur_by_every_column(f):
-    """[s_nu] f summed over every inverse Kostka column of each degree."""
+    """[s_nu] f summed over the inverse Kostka column of every partition nu
+    of each degree of f."""
     out = {}
     for d in f.degrees():
         sub = {lam: c for lam, c in f.coeffs.items() if sum(lam) == d}
-        for nu, col in _inverse_kostka_columns(d).items():
-            c = sum(sub.get(lam, 0) * k for lam, k in col)
+        for nu in partitions_of(d):
+            c = sum(sub.get(lam, 0) * k for lam, k in _inverse_kostka_column(nu))
             if c:
                 out[nu] = c
     return out
@@ -473,29 +474,66 @@ def test_keys_that_are_not_partitions_raise(key):
         m((2, 1)).coproduct[key]
 
 
+def _check_inverse_kostka_column(nu):
+    """The column of nu: nonzero pairs (lam, c) of nu's degree, lam
+    dominating nu, so lex-above it, listed in partitions_of's order."""
+    col = _inverse_kostka_column(nu)
+    assert isinstance(col, tuple)
+    keys = [lam for lam, _ in col]
+    assert keys == sorted(keys, reverse=True)
+    for lam, c in col:
+        assert c
+        assert sum(lam) == sum(nu) and lam >= nu
+    return dict(col)
+
+
 def test_inverse_kostka_columns_transpose_m_to_schur():
     # the Kostka peel of m_to_schur is the oracle of the Jacobi-Trudi columns
     for d in range(11):
-        cols = _inverse_kostka_columns(d)
-        assert set(cols) == set(partitions_of(d))
         rows = {}
-        for nu, col in cols.items():
-            assert isinstance(col, tuple)
-            for lam, c in col:
-                assert c
-                assert lam >= nu  # lam dominates nu, so is lex-above it
+        for nu in partitions_of(d):
+            for lam, c in _check_inverse_kostka_column(nu).items():
                 rows.setdefault(lam, {})[nu] = c
         for lam in partitions_of(d):
             want = m_to_schur(m(lam, TruncationProfile.for_degree(d)))
             assert rows[lam] == want.coeffs
 
 
+# Single columns of higher degree, each read alone: entry lam of the column
+# of nu is [s_nu] m_lam, which the Kostka peel gives for every lam of nu's
+# degree.
+_DEGREE_11_12 = list(partitions_of(11)) + list(partitions_of(12))
+
+
+@settings(derandomize=True, max_examples=16, deadline=None)
+@given(st.sampled_from(_DEGREE_11_12))
+def test_single_inverse_kostka_columns_transpose_m_to_schur(nu):
+    col = _check_inverse_kostka_column(nu)
+    p = TruncationProfile.for_degree(sum(nu))
+    for lam in partitions_of(sum(nu)):
+        assert col.get(lam, 0) == m_to_schur(m(lam, p)).coeffs.get(nu, 0)
+
+
+def test_a_column_read_builds_only_its_minors():
+    # s_(10,10) skewed by itself is 1; the h-expansion of s_(10,10) reads
+    # its Jacobi-Trudi column, whose minors are (9) and (10), and theirs ()
+    p = TruncationProfile(20)
+    a = schur_to_m((10, 10), p)
+    _h_expansion.cache_clear()
+    _inverse_kostka_column.cache_clear()
+    assert skew_by(BasisExpansion("s", {(10, 10): 1}, p), a).coeffs == {(): 1}
+    assert _inverse_kostka_column.cache_info().currsize == 4
+    for nu in ((10, 10), (10,), (9,), ()):
+        _inverse_kostka_column(nu)
+    info = _inverse_kostka_column.cache_info()
+    assert (info.currsize, info.misses) == (4, 4)
+
+
 def test_cached_tables_are_read_only():
-    table = _inverse_kostka_columns(3)
-    with pytest.raises(TypeError):
-        table[(3,)] = ()
+    col = _inverse_kostka_column((3,))
+    assert isinstance(col, tuple)
     with pytest.raises(AttributeError):
-        table[(3,)].append(((3,), 1))
+        col.append(((3,), 1))
     cop = SymFunc({(2, 1): 1, (1,): 2}, P6).coproduct
     for gamma in ((1,), (2, 1), (3,)):  # the last is in no key
         cop[gamma]
