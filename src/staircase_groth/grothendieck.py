@@ -22,7 +22,8 @@ the operand's coproduct (``SymFunc.coproduct``), summing into a list
 indexed by its numbered right factors.  The coproduct is a split table
 filled on read: the splits of a left factor are derived from those of
 its prefix the first time some h-expansion names it, so the left factors
-that no operator reads are never built.
+that no operator reads are never built.  Each basis element's h-expansion
+is kept once, graded by degree, and read at any cap as its prefix.
 
 A straight g or G key reaches the Schur basis, and from there its
 h-expansion, by a flagged rule with no chain table
@@ -41,6 +42,8 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
+from typing import Iterator
 
 from . import tableaux
 from .shapes import (
@@ -59,7 +62,7 @@ from .symfunc import (
     SymFunc,
     TruncationProfile,
     _kostka_row,
-    _pair_with_m,
+    _inverse_kostka_column,
     _require_partition,
     _schur_by_columns,
     basis_element,
@@ -99,10 +102,11 @@ def schur(shape: SkewShape, trunc: TruncationProfile) -> SymFunc:
 @functools.cache
 def _dual_g_cached(outer: Partition, inner: Partition,
                    trunc: TruncationProfile) -> SymFunc:
-    # already clean: partition keys of size at most |outer/inner|, which
-    # dual_g checks against the cap, each a positive count
-    return SymFunc._from_clean(tableaux.content_counts(
-        SkewShape(outer, inner), tableaux.RPP), trunc)
+    # the caller's SkewShape checked the partitions; already clean:
+    # partition keys of size at most |outer/inner|, which dual_g checks
+    # against the cap, each a positive count
+    return SymFunc._from_clean(tableaux._graded(
+        outer, inner, tableaux.RPP, sum(outer) - sum(inner)), trunc)
 
 
 def dual_g(shape: SkewShape, trunc: TruncationProfile) -> SymFunc:
@@ -117,10 +121,11 @@ def dual_g(shape: SkewShape, trunc: TruncationProfile) -> SymFunc:
 @functools.cache
 def _big_G_cached(outer: Partition, inner: Partition,
                   trunc: TruncationProfile) -> SymFunc:
-    # already clean: partition keys cut to the cap, and no zero, as every
-    # filling of one content has the same sign
-    return SymFunc._from_clean(tableaux.signed_svt_counts(
-        SkewShape(outer, inner), max_total_size=trunc.max_degree), trunc)
+    # the caller checked the partitions; already clean: partition keys
+    # cut to the cap, and no zero, as every filling of one content has
+    # the same sign
+    return SymFunc._from_clean(tableaux._graded(
+        outer, inner, tableaux.SVT, trunc.max_degree), trunc)
 
 
 def big_G(shape: SkewShape, trunc: TruncationProfile) -> SymFunc:
@@ -135,7 +140,10 @@ def big_G_double(outer: Partition, mu: Partition,
     Sums (-1)^{|mu/sigma|} G_{outer/sigma} over the sigma inside mu for
     which mu/sigma is a rook strip.  Those are exactly the sets of corners
     of mu (``shapes.rook_strip_inners``), so the sum runs over the
-    2^{#corners} corner subsets, not over every sigma inside mu.
+    2^{#corners} corner subsets, not over every sigma inside mu.  Each
+    sigma lies inside mu, so inside outer: the terms are read with no
+    further check, each G_{outer/sigma} once, shared by every mu that
+    names it.
     """
     outer = partition(outer)
     mu = partition(mu)
@@ -150,9 +158,10 @@ def _big_G_double_cached(outer: Partition, mu: Partition,
     coeffs: dict[Partition, int] = {}
     for sigma, cells in rook_strip_inners(mu):
         sign = -1 if cells % 2 else 1
-        for k, c in big_G(SkewShape(outer, sigma), trunc).coeffs.items():
+        for k, c in _big_G_cached(outer, sigma, trunc).coeffs.items():
             coeffs[k] = coeffs.get(k, 0) + sign * c
-    return SymFunc(coeffs, trunc)
+    # the terms' keys are partitions within the cap; only zero sums go
+    return SymFunc._from_clean({k: c for k, c in coeffs.items() if c}, trunc)
 
 
 def lr_coeff(nu: Partition, mu: Partition, target: Partition) -> SignedCount:
@@ -291,20 +300,99 @@ def to_schur_expansion(exp: BasisExpansion) -> BasisExpansion:
                                 sorted(out, key=graded_lex_key)}, exp.trunc)
 
 
+class _HRecord:
+    """The h-expansion of one basis element b_key, graded by degree and
+    extended in place to the largest cap read so far.
+
+    ``gammas`` and ``coeffs`` are parallel lists, degree by degree, and
+    ``ends[d]`` counts the terms of degree at most d.  The Schur terms of
+    b_key come one degree at a time from ``schur`` (an iterator over
+    degrees 0, 1, ..., ending when no term is left), and each degree is
+    paired with its Jacobi-Trudi columns once, when a read first reaches
+    it: the Schur keys in graded lex order, each adding its coefficient
+    times its column, and the nonzero sums kept in the order first met,
+    which is ``symfunc.m_to_h``'s order.
+    """
+
+    __slots__ = ("gammas", "coeffs", "ends", "_schur")
+
+    def __init__(self, schur: Iterator[dict[Partition, int]]):
+        self.gammas: list[Partition] = []
+        self.coeffs: list[int] = []
+        self.ends: list[int] = []
+        self._schur = schur
+
+    def upto(self, cap: int) -> int:
+        """The number of leading terms of degree at most ``cap``."""
+        ends = self.ends
+        while len(ends) <= cap:
+            terms = next(self._schur, None)
+            if terms is None:
+                return len(self.gammas)
+            # within one degree, descending lex is graded lex order
+            h: dict[Partition, int] = {}
+            get = h.get
+            for nu in sorted(terms, reverse=True):
+                c = terms[nu]
+                for lam, k in _inverse_kostka_column(nu):
+                    h[lam] = get(lam, 0) + k * c
+            for gamma, c in h.items():
+                if c:
+                    self.gammas.append(gamma)
+                    self.coeffs.append(c)
+            ends.append(len(self.gammas))
+        return ends[cap]
+
+
 @functools.cache
+def _h_record(basis: str, key: Partition) -> _HRecord:
+    """The one record of b_key's h-expansion, for every cap.
+
+    A G key walks Lenart's rule degree by degree
+    (``tableaux._lenart_degrees``), which the record extends as larger
+    caps are read.  Every other basis element has no term above degree
+    |key|, so its Schur expansion is taken whole at that cap.
+    """
+    d = sum(key)
+    if basis == "G":
+        return _HRecord(chain(repeat({}, d),
+                              tableaux._lenart_degrees(partition(key))))
+    whole = to_schur_expansion(BasisExpansion(basis, {key: 1},
+                                              TruncationProfile(d))).coeffs
+    return _HRecord({nu: c for nu, c in whole.items() if sum(nu) == e}
+                    for e in range(d + 1))
+
+
+def _h_terms(basis: str, key: Partition, cap: int
+             ) -> tuple[list[Partition], list[int], int]:
+    """The record of b_key as (gammas, coeffs, n): its first n terms are
+    the h-expansion of b_key realized at ``cap``; n is 0 when key does not
+    fit the cap (for g, raises ValueError, as ``BasisExpansion`` does)."""
+    if sum(key) > cap:
+        if basis == "g":
+            raise ValueError(f"g key {key} exceeds max_degree {cap}")
+        return [], [], 0
+    record = _h_record(basis, key)
+    return record.gammas, record.coeffs, record.upto(cap)
+
+
 def _h_expansion(basis: str, key: Partition, trunc: TruncationProfile
                  ) -> tuple[tuple[Partition, ...], tuple[int, ...]]:
     """The h-expansion of the basis element b_key realized at ``trunc``,
     as parallel tuples (gammas, coeffs); both empty when key does not fit
     the profile (for g, raises).
 
-    Every basis takes one route: the Schur expansion of b_key
-    (``to_schur_expansion``) paired with the Jacobi-Trudi columns, so
-    s, g and G keys need no monomial step and no chain table.
+    Every basis takes one route: the Schur expansion of b_key paired with
+    the Jacobi-Trudi columns, so s, g and G keys need no monomial step
+    and no chain table.  The Schur coefficient of s_nu in b_key does not
+    depend on the cap, and the h-expansion of s_nu is homogeneous of
+    degree |nu|, so the expansion at cap p is the degree <= p prefix of
+    the expansion at any larger cap, term for term and in the same
+    order.  So it is read off the key's one record (``_h_record``), cut
+    at the cap.
     """
-    exp = BasisExpansion(basis, {key: 1}, trunc)
-    coeffs = _pair_with_m(to_schur_expansion(exp).coeffs, "h", trunc).coeffs
-    return tuple(coeffs), tuple(coeffs.values())
+    gammas, coeffs, n = _h_terms(basis, key, trunc.max_degree)
+    return tuple(gammas[:n]), tuple(coeffs[:n])
 
 
 def skew_by(f: BasisExpansion, a: SymFunc) -> SymFunc:
@@ -314,15 +402,19 @@ def skew_by(f: BasisExpansion, a: SymFunc) -> SymFunc:
     and m bases are dual under the Hall inner product, so writing
     f = sum_gamma c_gamma h_gamma gives the coefficient of m_beta in the
     result as sum_gamma c_gamma [m_{gamma u beta}] a.  Each key of f
-    pairs its cached h-expansion against the operand's split table
+    pairs the prefix of its h-expansion record up to a's cap
+    (``_h_expansion``) against the operand's split table
     (``SymFunc.coproduct``), which derives the splits of each gamma there
     on its first read, so only those left factors and their prefixes are
     ever built.  Each key is taken as a ``BasisExpansion`` at a's
     profile: a key above a's cap drops out, except a g key, which raises
     ValueError.  Satisfies the adjunction <g, skew_by(f, a)> = <f g, a>.
     """
+    cap = a.trunc.max_degree
+    terms = []
+    for key, c in f.coeffs.items():
+        gammas, coeffs, n = _h_terms(f.basis, key, cap)
+        terms.append((c, (islice(gammas, n), coeffs)))
     # clean as it stands: the contraction keeps only nonzero sums, and
     # its keys are right factors of a's keys, within a's cap
-    return SymFunc._from_clean(a.coproduct.contract(
-        (c, _h_expansion(f.basis, key, a.trunc))
-        for key, c in f.coeffs.items()), a.trunc)
+    return SymFunc._from_clean(a.coproduct.contract(terms), a.trunc)

@@ -25,7 +25,6 @@ from . import tableaux
 from .shapes import (
     EMPTY,
     Partition,
-    SkewShape,
     conjugate,
     graded_lex_key,
     partition,
@@ -162,13 +161,14 @@ class Coproduct:
         return entry
 
     def contract(self, terms: Iterable[tuple[int, tuple[
-            tuple[Partition, ...], tuple[int, ...]]]]) -> dict[Partition, int]:
+            Iterable[Partition], Iterable[int]]]]) -> dict[Partition, int]:
         """(<f, .> (x) id) of the coproduct, for f = sum over terms
-        (c, (gammas, ks)) of c times sum_i ks[i] h_{gammas[i]}: h and m
-        are dual, so the coefficient of m_beta is the sum of c ks[i]
-        times the coefficient of the key gammas[i] u beta.  Sums into
-        one list indexed by right factor, extended when a derivation
-        adds a new one."""
+        (c, (gammas, ks)) of c times sum_i ks[i] h_{gammas[i]}, the two
+        read in step until either ends: h and m are dual, so the
+        coefficient of m_beta is the sum of c ks[i] times the
+        coefficient of the key gammas[i] u beta.  Sums into one list
+        indexed by right factor, extended when a derivation adds a new
+        one."""
         table, betas = self._table, self._betas
         out = [0] * len(betas)
         for c, (gammas, ks) in terms:
@@ -375,9 +375,11 @@ def _kostka_row(outer: Partition, inner: Partition
     This is the one cache of Schur tables; straight shapes pass EMPTY.
     The row is homogeneous of degree |outer/inner|, so it is the same
     under every profile that holds the shape and is not keyed by profile.
+    Every caller passes partitions it has checked, with inner inside
+    outer, so the row reads the chain table with no second check.
     """
-    return tuple(tableaux.content_counts(SkewShape(outer, inner),
-                                         tableaux.SSYT).items())
+    return tuple(tableaux._graded(outer, inner, tableaux.SSYT,
+                                  sum(outer) - sum(inner)).items())
 
 
 def schur_to_m(lam: Partition, trunc: TruncationProfile) -> SymFunc:

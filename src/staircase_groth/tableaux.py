@@ -39,10 +39,21 @@ inner shape and at the larger extra degree, so a table only ever grows
 to cover more requests.  Caches are only ever extended or replaced with
 finished, idempotent values.
 
+Validation happens once, at the public boundary: a ``SkewShape`` checks
+its partitions and that inner lies inside outer when it is built, and
+``count_fillings`` and ``content_counts`` check the kind.  Behind them,
+one private reader, ``_graded``, cuts a table entry for callers that
+pass partitions they have already checked: ``content_counts`` and
+``signed_svt_counts`` wrap it, and the constructors of ``grothendieck``
+and the Schur rows of ``symfunc`` call it directly, so their reads build
+no second ``SkewShape``.
+
 ``flagged_schur`` gives the Schur coefficients of a straight svt (G) or
 rpp (g) generating function with no table: one transfer walk over the
 row-flagged fillings of Lenart and of Lam-Pylyavskyy, whose steps list
 their strips directly, as row subsets (G) or products of row ranges (g).
+The G walk runs degree by degree (``_lenart_degrees``), so a caller can
+keep it and extend an expansion to a larger cap without a second walk.
 
 Lattice fillings (svt whose reverse reading word is a lattice word) come
 from one backtracker over the cells in reading order that checks the
@@ -61,7 +72,7 @@ from __future__ import annotations
 
 import functools
 import sys
-from itertools import combinations, product
+from itertools import accumulate, combinations, islice, product
 from math import comb
 from operator import mul
 from types import MappingProxyType
@@ -142,13 +153,66 @@ def _walk(a: Word, outer: Partition, strip: bool,
     return layer
 
 
+def _lenart_degrees(key: Partition) -> Iterator[dict[Partition, int]]:
+    """Lenart's signed Schur coefficients of G_key (see ``flagged_schur``),
+    one degree at a time: the i-th dict holds the s_nu with |nu| = |key| + i.
+    The walk ends only for the empty key, whose G is 1.
+
+    A walk places the values 1, 2, ... in turn; value w adds a strip S of
+    the (0-indexed) rows r >= w ending short of the row above, S possibly
+    empty.  So a walk that arrives at nu at value v (by a nonempty strip
+    placed at v - 1, or as the key at v = 1) either ends at nu, or places
+    its next nonempty strip S at some w with v <= w <= min(S) and arrives
+    at nu + S at value w + 1.  For each nu the walk keeps ``got[v]``, the
+    signed count of walks arriving at value v; ``reach[w]``, their sum
+    over v <= w, counts those that can place a strip at w.  A strip adds
+    at least one cell, so only lower degrees feed nu's arrivals, and a
+    degree is finished once the degrees below it are: its a_nu is the sum
+    of nu's arrivals, and each strip S of nu adds (-1)^|S| reach[w] to
+    the arrivals of nu + S at w + 1, for every w <= min(S).
+    """
+    d = sum(key)
+    # degree -> {nu: got}, got indexed by value v in 1..len(nu) + 1
+    waiting = {d: {key: [0, 1] + [0] * len(key)}}
+    while waiting:
+        out: dict[Partition, int] = {}
+        for nu, got in waiting.pop(d, {}).items():
+            reach = list(accumulate(got))
+            out[nu] = reach[-1]
+            signed = (reach, [-c for c in reach])
+            lo = 1
+            while not got[lo]:
+                lo += 1
+            low = nu + (0,)
+            # rows lo and below ending short of the row above; the last is
+            # the first empty row
+            rows = [r for r in range(lo, len(low)) if low[r] < low[r - 1]]
+            for k in range(1, len(rows) + 1):
+                into = waiting.setdefault(d + k, {})
+                for chosen in combinations(rows, k):
+                    grown = list(low)
+                    for r in chosen:
+                        grown[r] += 1
+                    if not grown[-1]:
+                        grown.pop()
+                    sigma = tuple(grown)
+                    to = into.get(sigma)
+                    if to is None:
+                        to = into[sigma] = [0] * (len(sigma) + 2)
+                    by = signed[k % 2]
+                    for w in range(lo, chosen[0] + 1):
+                        to[w + 1] += by[w]
+        yield out
+        d += 1
+
+
 def flagged_schur(kind: str, key: Partition, cap: int) -> dict[Partition, int]:
     """Schur coefficients of the straight G_key (kind svt, signed) or
     g_key (kind rpp), up to degree ``cap``, with no chain table.
 
     Both rules count fillings whose entries in row r lie in 1..r - 1, so
-    the cells holding v lie in rows v + 1 and below.  The walk runs one
-    value at a time and generates each step's strips directly:
+    the cells holding v lie in rows v + 1 and below.  Each step of a walk
+    places one value, its strips generated directly:
 
     * svt (Lenart, Ann. Comb. 4 (2000), Thm 2.2):
       G_key = sum over nu ⊇ key of (-1)^|nu/key| a_nu s_nu, where a_nu
@@ -161,9 +225,11 @@ def flagged_schur(kind: str, key: Partition, cap: int) -> dict[Partition, int]:
       when nu_r = nu_{r-1}.  Any set of such rows is a strip, since their
       new cells lie in distinct columns nu_r + 1.  So the strips at v are
       the subsets of the rows r >= v + 1 that end short of the row above,
-      the first empty row among them, of size k <= the room left below
-      ``cap``, each with sign (-1)^k.  A state is final once its length
-      is below v (it has no such row) or it holds ``cap`` cells.
+      the first empty row among them, each with sign (-1)^k for k cells.
+      A filling ends once v passes its length (it has no such row).  The
+      walk runs degree by degree (``_lenart_degrees``), and a_nu does not
+      depend on the cap, so the expansion at cap p is exactly the degree
+      <= p part of the expansion at any larger cap.
     * rpp (Lam-Pylyavskyy, IMRN 2007): g_key = sum over nu ⊆ key of
       f_nu s_nu, where f_nu counts the semistandard fillings of key/nu.
       The walk removes the cells holding v = l(key) - 1, ..., 1 from tau:
@@ -177,49 +243,26 @@ def flagged_schur(kind: str, key: Partition, cap: int) -> dict[Partition, int]:
         raise ValueError(f"flagged Schur expansions are of svt or rpp, "
                          f"not {kind!r}")
     key = partition(key)
-    live = {key: 1}
     if kind == SVT:
         out: dict[Partition, int] = {}
-        v = 1
-        while live:
-            nxt: dict[Partition, int] = {}
-            for nu, c in live.items():
-                room = cap - sum(nu)
-                if len(nu) < v or room <= 0:
-                    out[nu] = out.get(nu, 0) + c
-                    continue
-                low = nu + (0,)
-                # 0-indexed rows v and below, each ending short of the row
-                # above; the last is the first empty row
-                rows = [r for r in range(v, len(low)) if low[r] < low[r - 1]]
-                for k in range(min(room, len(rows)) + 1):
-                    signed = -c if k % 2 else c
-                    for chosen in combinations(rows, k):
-                        grown = list(low)
-                        for r in chosen:
-                            grown[r] += 1
-                        if not grown[-1]:
-                            grown.pop()
-                        sigma = tuple(grown)
-                        nxt[sigma] = nxt.get(sigma, 0) + signed
-            live = nxt
-            v += 1
-    else:
-        for v in range(len(key) - 1, 0, -1):
-            nxt = {}
-            for tau, c in live.items():
-                head = tau[:v]
-                spans = [range(y, x + 1)
-                         for x, y in zip(tau[v:], tau[v + 1:] + (0,))]
-                for tail in product(*spans):
-                    sigma = head + tail
-                    # only the last row may empty
-                    if sigma and not sigma[-1]:
-                        sigma = sigma[:-1]
-                    nxt[sigma] = nxt.get(sigma, 0) + c
-            live = nxt
-        out = live
-    return {nu: c for nu, c in out.items() if sum(nu) <= cap}
+        for terms in islice(_lenart_degrees(key), max(cap + 1 - sum(key), 0)):
+            out.update(terms)
+        return out
+    live = {key: 1}
+    for v in range(len(key) - 1, 0, -1):
+        nxt: dict[Partition, int] = {}
+        for tau, c in live.items():
+            head = tau[:v]
+            spans = [range(y, x + 1)
+                     for x, y in zip(tau[v:], tau[v + 1:] + (0,))]
+            for tail in product(*spans):
+                sigma = head + tail
+                # only the last row may empty
+                if sigma and not sigma[-1]:
+                    sigma = sigma[:-1]
+                nxt[sigma] = nxt.get(sigma, 0) + c
+        live = nxt
+    return {nu: c for nu, c in live.items() if sum(nu) <= cap}
 
 
 class _ChainTables:
@@ -372,16 +415,21 @@ def _chain(outer: Partition) -> _ChainTables:
     return tables
 
 
-def _graded(shape: SkewShape, kind: str, budget: int) -> dict[Partition, int]:
-    """The shape's table entry cut to |T| at most ``budget``, as a new dict
-    in the backward walk's order: within each size, descending lex, as the
-    walk is a depth-first preorder trying the largest part first.  A
-    stable sort by size gives graded lex order."""
-    tables = _chain(shape.outer)
-    counts = tables.counts(kind, shape.inner, budget)
+def _graded(outer: Partition, inner: Partition, kind: str,
+            budget: int) -> dict[Partition, int]:
+    """The table entry of outer/inner cut to |T| at most ``budget``, as a
+    new dict in the backward walk's order: within each size, descending
+    lex, as the walk is a depth-first preorder trying the largest part
+    first.  A stable sort by size gives graded lex order.
+
+    The one reader of the chain tables.  It trusts its arguments: outer
+    and inner partitions with inner inside outer, and a known kind, which
+    every library caller has already checked."""
+    tables = _chain(outer)
+    counts = tables.counts(kind, inner, budget)
     # the entry holds contents up to |outer/inner| plus the table's extra
     # degree (0 for ssyt and rpp), so a budget reaching that cuts nothing
-    if not counts or budget - shape.size() >= tables.back[kind][1]:
+    if not counts or budget - sum(outer) + sum(inner) >= tables.back[kind][1]:
         return dict(counts)
     return {t: c for t, c in counts.items() if sum(t) <= budget}
 
@@ -418,7 +466,7 @@ def content_counts(shape: SkewShape, kind: str, *,
     if kind == SVT and max_total_size is None:
         raise ValueError("svt content counts need max_total_size")
     budget = shape.size() if max_total_size is None else max_total_size
-    counts = _graded(shape, kind, budget)
+    counts = _graded(shape.outer, shape.inner, kind, budget)
     return {t: abs(c) for t, c in counts.items()} if kind == SVT else counts
 
 
@@ -431,7 +479,7 @@ def signed_svt_counts(shape: SkewShape, *,
     ``_graded``); must agree with (and is tested against) signing each
     filling of the stream in ``tests/fillings.py`` by its size.
     """
-    return _graded(shape, SVT, max_total_size)
+    return _graded(shape.outer, shape.inner, SVT, max_total_size)
 
 
 # ---------------------------------------------------------------------------

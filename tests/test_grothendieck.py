@@ -132,7 +132,7 @@ def test_constructors_read_a_clean_copy_of_the_graded_cut(outer, data):
                     continue
                 _clear_constructor_caches()
                 f = build(shape, trunc)
-                cut = tb._graded(shape, kind, budget)
+                cut = tb._graded(shape.outer, shape.inner, kind, budget)
                 assert f == SymFunc(cut, trunc), (kind, shape, budget)
                 assert all(f.coeffs.values())
                 assert all(sum(k) <= budget for k in f.coeffs)
@@ -141,7 +141,7 @@ def test_constructors_read_a_clean_copy_of_the_graded_cut(outer, data):
                 f.coeffs.clear()
                 cut.clear()
                 _clear_constructor_caches()
-                assert tb._graded(shape, kind, budget) == want
+                assert tb._graded(shape.outer, shape.inner, kind, budget) == want
                 assert build(shape, trunc).coeffs == want
 
 
@@ -149,6 +149,49 @@ def _clear_constructor_caches():
     sf._kostka_row.cache_clear()
     gr._dual_g_cached.cache_clear()
     gr._big_G_cached.cache_clear()
+
+
+def test_warm_reads_build_no_second_shape(monkeypatch):
+    # the caller's SkewShape checks the partitions once; a read behind it,
+    # from warm chain tables, checks nothing again
+    shape = SkewShape((4, 3, 1), (2,))
+    trunc = TruncationProfile(10)
+    reads = (lambda: schur(shape, trunc), lambda: dual_g(shape, trunc),
+             lambda: big_G(shape, trunc),
+             lambda: big_G_double((4, 3, 1), (2, 1), trunc))
+    for read in reads:
+        read()
+    built = []
+    init = SkewShape.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SkewShape, "__init__", counted)
+    for read in reads:
+        _clear_constructor_caches()
+        gr._big_G_double_cached.cache_clear()
+        want = read()
+        assert built == []
+        assert read() == want
+
+
+def test_public_reads_still_validate():
+    P = TruncationProfile(4)
+    with pytest.raises(ValueError):
+        tb.content_counts(straight((2, 1)), "bad")
+    with pytest.raises(ValueError):
+        tb.content_counts(SkewShape((2,), (3,)), tb.RPP)
+    with pytest.raises(ValueError):
+        tb.signed_svt_counts(SkewShape((1, 2), EMPTY), max_total_size=4)
+    with pytest.raises(ValueError):
+        sf.schur_to_m((1, 2), P)
+    for basis in "gGs":
+        with pytest.raises(ValueError):
+            expansion_to_symfunc(BasisExpansion(basis, {(1, 2): 1}, P))
+    with pytest.raises(ValueError):
+        big_G_double((2, 1), (1, 2), P)
 
 
 def test_degree_grading():
@@ -571,7 +614,7 @@ def test_skew_by_h_cache_is_keyed_by_operand_profile():
     assert gr._h_expansion("G", (2, 2), p3) == ((), ())
     without = BasisExpansion("G", {(1,): 1}, p5)
     for order in ((small, large), (large, small)):
-        gr._h_expansion.cache_clear()
+        gr._h_record.cache_clear()
         for a in order + order:  # fresh, then warm
             got = skew_by(f, a)
             assert got.coeffs == _skew_uncached(f, a).coeffs
@@ -612,6 +655,66 @@ def test_flagged_schur_at_a_cap_is_the_cut_of_a_larger_cap(kind):
         for cap in range(top):
             assert tb.flagged_schur(kind, lam, cap) == {
                 nu: c for nu, c in full.items() if sum(nu) <= cap}, (lam, cap)
+
+
+def _clear_library_caches():
+    # every memo a benchmark pass empties to start cold: the functools
+    # caches and the module dicts named *_cache of the library
+    for mod in (gr, sf, tb):
+        for attr, value in vars(mod).items():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+            elif isinstance(value, dict) and attr.endswith("_cache"):
+                value.clear()
+
+
+_RECORD_CAPS = range(14)
+
+
+@pytest.fixture(scope="module")
+def g_cap_oracles():
+    # the chain-table oracles of every G key of at most 8 cells at every
+    # cap, each computed at that cap alone
+    out = {}
+    for lam in KEYS_8:
+        for cap in _RECORD_CAPS:
+            p = TruncationProfile(cap)
+            h = sf.m_to_h(expansion_to_symfunc(
+                BasisExpansion("G", {lam: 1}, p))).coeffs
+            out[lam, cap] = (sf.m_to_schur(big_G(straight(lam), p)).coeffs,
+                             (tuple(h), tuple(h.values())))
+    return out
+
+
+@pytest.mark.parametrize("order", ("ascending", "descending", "shuffled"))
+def test_one_G_record_serves_every_cap_in_any_order(order, g_cap_oracles):
+    # each key's record is extended in place to the largest cap read so
+    # far; a smaller cap reads its prefix, which must be the expansion
+    # at that cap, term for term and in order
+    rng = random.Random(f"record:{order}")
+    _clear_library_caches()
+    for lam in KEYS_8:
+        caps = list(_RECORD_CAPS)
+        if order == "descending":
+            caps.reverse()
+        elif order == "shuffled":
+            rng.shuffle(caps)
+        for cap in caps:
+            schur_want, h_want = g_cap_oracles[lam, cap]
+            assert tb.flagged_schur(tb.SVT, lam, cap) == schur_want, (lam, cap)
+            assert gr._h_expansion("G", lam, TruncationProfile(cap)) == \
+                h_want, (lam, cap)
+    # one record a key, never one a cap
+    assert gr._h_record.cache_info().currsize == len(KEYS_8)
+
+
+def test_h_records_are_emptied_with_the_library_caches():
+    # the benchmark's cold passes empty functools caches and module dicts
+    # named *_cache, so the record must be one of those
+    gr._h_expansion("G", (2, 1), TruncationProfile(5))
+    assert gr._h_record.cache_info().currsize > 0
+    _clear_library_caches()
+    assert gr._h_record.cache_info().currsize == 0
 
 
 # Straight shapes of at most 7 cells, largest first: hypothesis favours
@@ -657,7 +760,7 @@ def test_skew_by_flagged_keys_builds_no_chain_table(monkeypatch):
 
     monkeypatch.setattr(tb._ChainTables, "_backward", counted)
     tb._chain_cache.clear()
-    gr._h_expansion.cache_clear()
+    gr._h_record.cache_clear()
     gr._dual_g_cached.cache_clear()
     p = TruncationProfile(9)
     for lam in all_partitions_up_to(5):

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from staircase_groth.grothendieck import (
     _h_expansion,
+    _h_record,
     big_G,
     expand_in_G,
     expand_in_g,
@@ -519,7 +520,7 @@ def test_a_column_read_builds_only_its_minors():
     # its Jacobi-Trudi column, whose minors are (9) and (10), and theirs ()
     p = TruncationProfile(20)
     a = schur_to_m((10, 10), p)
-    _h_expansion.cache_clear()
+    _h_record.cache_clear()
     _inverse_kostka_column.cache_clear()
     assert skew_by(BasisExpansion("s", {(10, 10): 1}, p), a).coeffs == {(): 1}
     assert _inverse_kostka_column.cache_info().currsize == 4
